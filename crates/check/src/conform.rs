@@ -45,7 +45,7 @@ use sws_core::ring::Ring;
 use sws_core::stealval::{Gate, Layout, ASTEALS_MASK, ASTEALS_SHIFT, ASTEAL_UNIT};
 use sws_core::{AtomicSite, QueueConfig};
 use sws_shmem::{
-    FaultPlan, GateMode, HeapLayout, OpClass, ProtoEvent, ProtoOp, TargetSel, CACHE_LINE_WORDS,
+    FaultPlan, HeapLayout, OpClass, ProtoEvent, ProtoOp, TargetSel, CACHE_LINE_WORDS,
 };
 
 /// Which protocol's abstract machine a trace is replayed against.
@@ -1024,8 +1024,6 @@ pub struct ConformCase {
     pub kind: QueueKind,
     /// Stealval layout (SWS only; ignored for SDC).
     pub layout: Layout,
-    /// Virtual-time gate implementation.
-    pub gate: GateMode,
     /// Inject transient drop faults?
     pub faults: bool,
     /// Steal damping (probe-before-claim; default on for SWS).
@@ -1034,36 +1032,32 @@ pub struct ConformCase {
     pub seed: u64,
 }
 
-/// The CI conformance matrix: both protocols × both gate
-/// implementations × {clean, fault-injected}, plus the ValidBit layout
-/// and an SDC damping case. Every case is fully deterministic.
+/// The CI conformance matrix: both protocols × {clean, fault-injected},
+/// both SWS stealval layouts, and damping flipped against each
+/// protocol's default. Every case is fully deterministic.
 pub fn matrix() -> Vec<ConformCase> {
     let mut cases = Vec::new();
-    let mut add = |name: &str, kind, layout, gate, faults, damping| {
-        let seed = 0x5EED_C0DE + cases.len() as u64;
+    // `slot` fixes the case's seed. Slots are never reused, so a case
+    // keeps its exact run when others are added or removed.
+    let mut add = |name: &str, slot: u64, kind, layout, faults, damping| {
         cases.push(ConformCase {
             name: name.to_string(),
             kind,
             layout,
-            gate,
             faults,
             damping,
-            seed,
+            seed: 0x5EED_C0DE + slot,
         });
     };
-    use GateMode::{HandoffPerOp, SafeWindow};
     use QueueKind::{Sdc, Sws};
-    add("sws-epochs-safewindow", Sws, Layout::Epochs, SafeWindow, false, true);
-    add("sws-epochs-handoff", Sws, Layout::Epochs, HandoffPerOp, false, true);
-    add("sws-epochs-safewindow-faults", Sws, Layout::Epochs, SafeWindow, true, true);
-    add("sws-epochs-handoff-faults", Sws, Layout::Epochs, HandoffPerOp, true, true);
-    add("sws-validbit-safewindow", Sws, Layout::ValidBit, SafeWindow, false, true);
-    add("sws-validbit-faults", Sws, Layout::ValidBit, SafeWindow, true, true);
-    add("sdc-safewindow", Sdc, Layout::Epochs, SafeWindow, false, false);
-    add("sdc-handoff", Sdc, Layout::Epochs, HandoffPerOp, false, false);
-    add("sdc-safewindow-faults", Sdc, Layout::Epochs, SafeWindow, true, false);
-    add("sdc-handoff-faults", Sdc, Layout::Epochs, HandoffPerOp, true, false);
-    add("sdc-damped", Sdc, Layout::Epochs, SafeWindow, false, true);
+    add("sws-epochs", 0, Sws, Layout::Epochs, false, true);
+    add("sws-epochs-faults", 2, Sws, Layout::Epochs, true, true);
+    add("sws-validbit", 4, Sws, Layout::ValidBit, false, true);
+    add("sws-validbit-faults", 5, Sws, Layout::ValidBit, true, true);
+    add("sdc", 6, Sdc, Layout::Epochs, false, false);
+    add("sdc-faults", 8, Sdc, Layout::Epochs, true, false);
+    add("sdc-damped", 10, Sdc, Layout::Epochs, false, true);
+    add("sws-epochs-undamped", 11, Sws, Layout::Epochs, false, false);
     cases
 }
 
@@ -1096,7 +1090,7 @@ pub fn capture_case(case: &ConformCase) -> Vec<ProtoEvent> {
         .with_seed(case.seed)
         .with_damping(case.damping)
         .with_progress_interval(8);
-    let mut run = RunConfig::new(4, sched).with_gate(case.gate).with_capture_proto();
+    let mut run = RunConfig::new(4, sched).with_capture_proto();
     if case.faults {
         run = run.with_faults(
             FaultPlan::seeded(case.seed ^ 0xFA_017).with_drop(OpClass::All, TargetSel::Any, 0.03),

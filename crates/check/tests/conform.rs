@@ -1,7 +1,7 @@
 //! End-to-end refinement check: capture a real scheduler run's op trace
 //! and replay it through the abstract protocol machines.
 //!
-//! The full 11-case matrix runs under `sws-check conform`; this test
+//! The full 8-case matrix runs under `sws-check conform`; this test
 //! pins the two properties CI must never lose: a clean run conforms,
 //! and a protocol-level mutation is caught *and shrinks* to a small
 //! witness of the same divergence kind.
@@ -25,7 +25,7 @@ fn clean_runs_conform_and_cover_both_protocols() {
 fn mutated_claim_decode_is_caught_and_shrinks() {
     let cases = matrix();
     let case = &cases[0];
-    assert_eq!(case.name, "sws-epochs-safewindow");
+    assert_eq!(case.name, "sws-epochs");
 
     // A thief that misreads one bit of the fetched stealval mis-sizes or
     // mis-places its payload copy; the replay must notice.

@@ -374,10 +374,10 @@ impl Registry {
             comm_ops.push((k, ops, bytes, failed));
         }
         let comm_ns = reg.counter("sws_comm_ns", "virtual ns charged to communication");
-        let fast_ops = reg.counter("sws_engine_fast_ops", "gate ops on the lock-free fast path");
-        let slow_ops = reg.counter("sws_engine_slow_ops", "gate ops through the slow path");
-        let windows = reg.counter("sws_engine_windows", "safe windows granted");
-        let gate_wait_ns = reg.counter("sws_engine_gate_wait_ns", "wall ns parked at the gate");
+        let fast_ops = reg.counter("sws_engine_fast_ops", "gated ops admitted without a switch");
+        let slow_ops = reg.counter("sws_engine_slow_ops", "gated ops admitted after a switch");
+        let switches = reg.counter("sws_engine_switches", "times the PE was suspended");
+        let gate_wait_ns = reg.counter("sws_engine_gate_wait_ns", "wall ns spent suspended");
 
         // Span-level histograms (need stitched spans).
         let h_latency = reg.histogram("sws_span_latency_ns", "steal-span virtual latency");
@@ -415,7 +415,7 @@ impl Registry {
             }
             shard.add(fast_ops, w.engine.fast_ops);
             shard.add(slow_ops, w.engine.slow_ops);
-            shard.add(windows, w.engine.windows);
+            shard.add(switches, w.engine.switches);
             shard.add(gate_wait_ns, w.engine.gate_wait_ns);
         }
         for (pe, st) in report.comm.per_pe.iter().enumerate() {

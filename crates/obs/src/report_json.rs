@@ -41,7 +41,7 @@ pub fn report_to_json(r: &RunReport) -> String {
          \"throughput_per_s\":{:.1},\"efficiency\":{:.4},\"steals\":{},\
          \"steal_ns\":{},\"search_ns\":{},\"task_ns\":{},\"mean_steal_op_ns\":{:.1},\
          \"comm_ops\":{},\"comm_bytes\":{},\"wall_ms\":{},\
-         \"engine_fast_ops\":{},\"engine_slow_ops\":{},\"engine_windows\":{},\
+         \"engine_fast_ops\":{},\"engine_slow_ops\":{},\"engine_switches\":{},\
          \"engine_gate_wait_ns\":{}",
         escape(&r.system),
         r.n_pes,
@@ -59,15 +59,15 @@ pub fn report_to_json(r: &RunReport) -> String {
         r.wall_ms,
         e.fast_ops,
         e.slow_ops,
-        e.windows,
+        e.switches,
         e.gate_wait_ns,
     );
     out.push_str(&format!(
-        ",\"engine\":{{\"fast_ops\":{},\"slow_ops\":{},\"windows\":{},\
+        ",\"engine\":{{\"fast_ops\":{},\"slow_ops\":{},\"switches\":{},\
          \"gate_wait_ns\":{},\"gated_ops\":{},\"fast_fraction\":{:.4}}}",
         e.fast_ops,
         e.slow_ops,
-        e.windows,
+        e.switches,
         e.gate_wait_ns,
         e.gated_ops(),
         e.fast_fraction(),

@@ -41,7 +41,7 @@ const TOP_KEYS: &[&str] = &[
     "wall_ms",
     "engine_fast_ops",
     "engine_slow_ops",
-    "engine_windows",
+    "engine_switches",
     "engine_gate_wait_ns",
     "engine",
     "comm",
@@ -52,7 +52,7 @@ const TOP_KEYS: &[&str] = &[
 const ENGINE_KEYS: &[&str] = &[
     "fast_ops",
     "slow_ops",
-    "windows",
+    "switches",
     "gate_wait_ns",
     "gated_ops",
     "fast_fraction",
@@ -163,7 +163,7 @@ fn json_superset_carries_text_report_figures() {
     assert_eq!(num(&["task_ns"]), report.total_task_ns());
     let e = report.total_engine();
     assert_eq!(num(&["engine", "gated_ops"]), e.gated_ops());
-    assert_eq!(num(&["engine", "windows"]), e.windows);
+    assert_eq!(num(&["engine", "switches"]), e.switches);
     assert_eq!(num(&["faults", "retries"]), report.total_steal_retries());
     assert_eq!(num(&["faults", "aborted"]), report.total_steals_aborted());
     assert_eq!(

@@ -398,20 +398,25 @@ impl RunReport {
         total
     }
 
-    /// One-line engine summary (wall time, gate traffic), or `None` when
-    /// the run recorded no engine activity (threaded mode).
+    /// One-line engine summary (wall time, gate traffic, switches, and
+    /// the per-PE mean and max wall time spent suspended), or `None`
+    /// when the run recorded no engine activity (threaded mode).
     pub fn engine_summary_line(&self) -> Option<String> {
         let e = self.total_engine();
         if e.gated_ops() == 0 {
             return None;
         }
+        let waits = self.workers.iter().map(|w| w.engine.gate_wait_ns);
+        let max_wait = waits.clone().max().unwrap_or(0);
+        let mean_wait = waits.sum::<u64>() / self.workers.len().max(1) as u64;
         Some(format!(
-            "     engine: wall {:>8.3} s, {:>9} gated ops ({:>5.1}% windowed), {:>7} windows, gate wait {:>8.3} s",
+            "     engine: wall {:>8.3} s, {:>9} gated ops ({:>5.1}% without a switch), {:>9} switches, suspended per PE mean {:>7.3} s, max {:>7.3} s",
             self.wall_ms as f64 / 1e3,
             e.gated_ops(),
             e.fast_fraction() * 100.0,
-            e.windows,
-            e.gate_wait_ns as f64 / 1e9,
+            e.switches,
+            mean_wait as f64 / 1e9,
+            max_wait as f64 / 1e9,
         ))
     }
 
@@ -510,17 +515,20 @@ mod tests {
         let mut a = WorkerStats::default();
         a.engine.fast_ops = 90;
         a.engine.slow_ops = 10;
-        a.engine.windows = 7;
+        a.engine.switches = 12;
         let mut b = WorkerStats::default();
         b.engine.fast_ops = 10;
         b.engine.gate_wait_ns = 2_000_000_000;
         let r = report_with(vec![a, b], 1_000);
         let e = r.total_engine();
         assert_eq!(e.gated_ops(), 110);
-        assert_eq!(e.windows, 7);
+        assert_eq!(e.switches, 12);
         assert!((e.fast_fraction() - 100.0 / 110.0).abs() < 1e-12);
         let line = r.engine_summary_line().expect("engine ran");
-        assert!(line.contains("110 gated ops"));
+        assert!(line.contains("110 gated ops"), "{line}");
+        assert!(line.contains("12 switches"), "{line}");
+        // Suspended time is a per-PE figure, never a sum over PEs.
+        assert!(line.contains("mean   1.000 s, max   2.000 s"), "{line}");
         // Threaded runs (no gate traffic) print nothing.
         let r2 = report_with(vec![WorkerStats::default()], 1_000);
         assert_eq!(r2.engine_summary_line(), None);

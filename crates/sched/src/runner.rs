@@ -2,9 +2,7 @@
 //! global termination, and collect the paper's metrics.
 
 use sws_core::{SdcQueue, SwsQueue};
-use sws_shmem::{
-    run_world, ExecMode, FaultPlan, GateMode, NetModel, ShmemCtx, WorldConfig,
-};
+use sws_shmem::{run_world, ExecMode, FaultPlan, NetModel, ShmemCtx, WorldConfig};
 use sws_task::{TaskDescriptor, TaskRegistry};
 
 use crate::config::{QueueKind, SchedConfig, TdKind};
@@ -45,9 +43,6 @@ pub struct RunConfig {
     /// are dropped before the world is built, keeping clean runs
     /// bit-identical to a `None` plan.
     pub faults: Option<FaultPlan>,
-    /// Virtual-time gate implementation (safe-window by default; the
-    /// handoff-per-op gate is kept for differential testing).
-    pub gate: GateMode,
     /// Capture site-annotated protocol ops into `WorkerStats::proto`
     /// (the conformance checker's input). Off by default: hot paths see
     /// one extra predictable branch per op at most.
@@ -88,7 +83,6 @@ impl RunConfig {
             net: NetModel::edr_infiniband(),
             extra_heap_words: 4096,
             faults: None,
-            gate: GateMode::default(),
             capture_proto: false,
             profile_sites: false,
             explore: None,
@@ -102,13 +96,6 @@ impl RunConfig {
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> RunConfig {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Select the virtual-time gate implementation.
-    #[must_use]
-    pub fn with_gate(mut self, gate: GateMode) -> RunConfig {
-        self.gate = gate;
         self
     }
 
@@ -213,7 +200,6 @@ pub fn try_run_workload_mode(
         net: cfg.net,
         mode,
         faults: None,
-        gate: cfg.gate,
         capture_proto: cfg.capture_proto,
         profile_sites: cfg.profile_sites,
         explore: cfg.explore.clone(),

@@ -797,7 +797,6 @@ pub fn run_service<W: ServiceWorkload>(
         net: cfg.net,
         mode: ExecMode::Virtual,
         faults: None,
-        gate: cfg.gate,
         capture_proto: cfg.capture_proto,
         profile_sites: cfg.profile_sites,
         explore: None,

@@ -1,28 +1,29 @@
-//! Differential determinism suite: the safe-window gate must realize
-//! *exactly* the run the handoff-per-op gate realizes.
+//! Differential determinism suite.
 //!
-//! The safe-window engine (see `sws_shmem::vclock`) is a pure scheduling
-//! optimization — it batches gate crossings inside a conservative
-//! lookahead window but never reorders effects in virtual time. These
-//! tests pin that claim: for identical seeds, both gates must produce
-//! identical makespans, per-PE communication counters (`OpStats`),
-//! queue counters, and worker timing decompositions. Only wall-clock
-//! fields (`wall_ms`, `EngineStats`) may differ.
+//! Virtual-time runs are pure functions of their configuration, so every
+//! deterministic field of a report — makespan, per-PE communication
+//! counters (`OpStats`), queue counters, timing decompositions, event
+//! traces — must be identical across things that may only change *how*
+//! the run is computed: heap layouts, telemetry, ordering-override
+//! tables, and engine rewrites. The last are pinned by the cross-version
+//! goldens at the bottom: outputs rendered once and committed under
+//! `tests/golden/`. Only wall-clock fields (`wall_ms`, `EngineStats`) may
+//! differ.
 
 use sws_core::QueueConfig;
 use sws_sched::runner::run_workload_mode;
 use sws_sched::{run_workload, QueueKind, RunConfig, RunReport, SchedConfig};
-use sws_shmem::{ExecMode, GateMode, HeapLayout};
+use sws_shmem::{ExecMode, HeapLayout};
 use sws_workloads::uts::{UtsParams, UtsWorkload};
 
-fn report_for(kind: QueueKind, gate: GateMode, seed: u64) -> RunReport {
-    report_for_layout(kind, gate, seed, HeapLayout::default())
+fn report_for(kind: QueueKind, seed: u64) -> RunReport {
+    report_for_layout(kind, seed, HeapLayout::default())
 }
 
-fn report_for_layout(kind: QueueKind, gate: GateMode, seed: u64, layout: HeapLayout) -> RunReport {
+fn report_for_layout(kind: QueueKind, seed: u64, layout: HeapLayout) -> RunReport {
     let queue = QueueConfig::new(1024, 48);
     let sched = SchedConfig::new(kind, queue).with_seed(seed);
-    let cfg = RunConfig::new(8, sched).with_gate(gate).with_heap_layout(layout);
+    let cfg = RunConfig::new(8, sched).with_heap_layout(layout);
     let wl = UtsWorkload::new(UtsParams::geo_small(8));
     run_workload(&cfg, &wl)
 }
@@ -49,38 +50,23 @@ fn assert_reports_identical(a: &RunReport, b: &RunReport) {
     }
 }
 
+/// The engine reports its activity through `EngineStats` without
+/// perturbing the run: a rerun sees the same op stream.
 #[test]
-fn gates_agree_on_sws_runs() {
-    for seed in [0xBA5E, 0xBA5E + 7919, 42] {
-        let old = report_for(QueueKind::Sws, GateMode::HandoffPerOp, seed);
-        let new = report_for(QueueKind::Sws, GateMode::SafeWindow, seed);
-        assert_reports_identical(&old, &new);
-        assert!(new.total_tasks() > 0, "workload must actually run");
-    }
-}
-
-#[test]
-fn gates_agree_on_sdc_runs() {
-    for seed in [0xBA5E, 1337] {
-        let old = report_for(QueueKind::Sdc, GateMode::HandoffPerOp, seed);
-        let new = report_for(QueueKind::Sdc, GateMode::SafeWindow, seed);
-        assert_reports_identical(&old, &new);
-    }
-}
-
-/// The handoff gate grants no windows; the safe-window gate reports its
-/// activity through `EngineStats` without perturbing the run.
-#[test]
-fn engine_stats_reflect_the_selected_gate() {
-    let old = report_for(QueueKind::Sws, GateMode::HandoffPerOp, 7);
-    let new = report_for(QueueKind::Sws, GateMode::SafeWindow, 7);
-    assert_eq!(old.total_engine().windows, 0);
-    assert!(old.total_engine().gated_ops() > 0);
-    assert!(new.total_engine().gated_ops() > 0);
+fn engine_stats_count_every_gated_op() {
+    let a = report_for(QueueKind::Sws, 7);
+    let b = report_for(QueueKind::Sws, 7);
+    let (ea, eb) = (a.total_engine(), b.total_engine());
+    assert!(ea.gated_ops() > 0);
+    assert!(ea.slow_ops > 0 && ea.switches >= ea.slow_ops, "{ea:?}");
     assert_eq!(
-        old.total_engine().gated_ops(),
-        new.total_engine().gated_ops(),
-        "both gates must see the same op stream"
+        ea.gated_ops(),
+        eb.gated_ops(),
+        "reruns see the same op stream"
+    );
+    assert_eq!(
+        ea.switches, eb.switches,
+        "the switch schedule is deterministic"
     );
 }
 
@@ -89,18 +75,15 @@ fn engine_stats_reflect_the_selected_gate() {
 /// byte count, and locality — never on addresses — and the aligned
 /// collective allocator issues the exact op sequence of the packed one.
 /// So a packed-layout run and an aligned-layout run of the same seed
-/// must produce identical reports, on both queue systems and under both
-/// gates. This is what lets the wall-clock fix land without touching a
+/// must produce identical reports, on both queue systems. This is what lets the wall-clock fix land without touching a
 /// single golden figure.
 #[test]
 fn heap_layouts_agree_in_virtual_time() {
     for kind in [QueueKind::Sws, QueueKind::Sdc] {
-        for gate in [GateMode::SafeWindow, GateMode::HandoffPerOp] {
-            let packed = report_for_layout(kind, gate, 0xBA5E, HeapLayout::Packed);
-            let aligned = report_for_layout(kind, gate, 0xBA5E, HeapLayout::Aligned);
-            assert_reports_identical(&packed, &aligned);
-            assert!(packed.total_tasks() > 0, "workload must actually run");
-        }
+        let packed = report_for_layout(kind, 0xBA5E, HeapLayout::Packed);
+        let aligned = report_for_layout(kind, 0xBA5E, HeapLayout::Aligned);
+        assert_reports_identical(&packed, &aligned);
+        assert!(packed.total_tasks() > 0, "workload must actually run");
     }
 }
 
@@ -143,7 +126,7 @@ fn figure_csv_is_byte_identical_across_heap_layouts() {
 #[test]
 fn completion_batching_preserves_conservation() {
     for kind in [QueueKind::Sws, QueueKind::Sdc] {
-        let eager = report_for(kind, GateMode::SafeWindow, 0xBA5E);
+        let eager = report_for(kind, 0xBA5E);
         let queue = QueueConfig::new(1024, 48).with_comp_batch(4);
         let sched = SchedConfig::new(kind, queue).with_seed(0xBA5E);
         let cfg = RunConfig::new(8, sched);
@@ -158,29 +141,27 @@ fn completion_batching_preserves_conservation() {
     }
 }
 
-/// Threaded mode ignores the gate entirely: the switch must not affect
-/// real-thread execution, which has no virtual-time gate to batch.
+/// Threaded mode never enters the virtual-time engine: its reports carry
+/// no engine activity.
 #[test]
-fn threaded_mode_ignores_gate_switch() {
-    for gate in [GateMode::HandoffPerOp, GateMode::SafeWindow] {
-        let queue = QueueConfig::new(1024, 48);
-        let sched = SchedConfig::new(QueueKind::Sws, queue).with_seed(3);
-        let cfg = RunConfig::new(4, sched).with_gate(gate);
-        let wl = UtsWorkload::new(UtsParams::geo_small(6));
-        let report = run_workload_mode(
-            &cfg,
-            &wl,
-            ExecMode::Threaded {
-                inject_latency: false,
-            },
-        );
-        assert!(report.total_tasks() > 0, "threaded run must complete");
-        assert_eq!(
-            report.total_engine(),
-            Default::default(),
-            "threaded mode has no virtual-time engine"
-        );
-    }
+fn threaded_mode_has_no_engine() {
+    let queue = QueueConfig::new(1024, 48);
+    let sched = SchedConfig::new(QueueKind::Sws, queue).with_seed(3);
+    let cfg = RunConfig::new(4, sched);
+    let wl = UtsWorkload::new(UtsParams::geo_small(6));
+    let report = run_workload_mode(
+        &cfg,
+        &wl,
+        ExecMode::Threaded {
+            inject_latency: false,
+        },
+    );
+    assert!(report.total_tasks() > 0, "threaded run must complete");
+    assert_eq!(
+        report.total_engine(),
+        Default::default(),
+        "threaded mode has no virtual-time engine"
+    );
 }
 
 /// The necessity prover's identity override table — every site resolved
@@ -211,17 +192,221 @@ fn identity_override_table_is_invisible() {
         tracker: None,
     });
     for kind in [QueueKind::Sws, QueueKind::Sdc] {
-        for gate in [GateMode::SafeWindow, GateMode::HandoffPerOp] {
-            let queue = QueueConfig::new(1024, 48);
-            let sched = SchedConfig::new(kind, queue).with_seed(0xBA5E);
-            let wl = UtsWorkload::new(UtsParams::geo_small(8));
-            let bare = run_workload(&RunConfig::new(8, sched).with_gate(gate), &wl);
-            let tabled = run_workload(
-                &RunConfig::new(8, sched).with_gate(gate).with_ordering(ctl.clone()),
-                &wl,
+        let queue = QueueConfig::new(1024, 48);
+        let sched = SchedConfig::new(kind, queue).with_seed(0xBA5E);
+        let wl = UtsWorkload::new(UtsParams::geo_small(8));
+        let bare = run_workload(&RunConfig::new(8, sched), &wl);
+        let tabled = run_workload(&RunConfig::new(8, sched).with_ordering(ctl.clone()), &wl);
+        assert_reports_identical(&bare, &tabled);
+        assert!(bare.total_tasks() > 0, "workload must actually run");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Cross-version goldens
+// ---------------------------------------------------------------------
+
+/// Deterministic output of the virtual-time engine, pinned across
+/// engine rewrites: every case below was rendered once (by the
+/// thread-per-PE engine this executor replaced) and committed under
+/// `tests/golden/`, and each run must reproduce its file byte for byte. Regenerate (only when a PR deliberately changes semantics)
+/// with `SWS_BLESS=1 cargo test -p sws-sched --test differential golden`.
+mod golden {
+    use super::*;
+    use std::fmt::Write as _;
+    use sws_sched::{run_service, AdmissionPolicy, MembershipPlan, ServiceConfig};
+    use sws_shmem::{FaultPlan, OpClass, TargetSel};
+    use sws_workloads::arrivals::{ArrivalPlan, FlatServe, UtsServe};
+
+    /// FNV-1a over a rendered list, for streams too long to commit.
+    fn fnv(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Every deterministic field of a report, one line per fact.
+    /// Wall-clock fields (`wall_ms`, `EngineStats`) are left out.
+    fn render(label: &str, r: &RunReport) -> String {
+        let mut s = String::new();
+        let _ = writeln!(s, "== {label}");
+        let _ = writeln!(
+            s,
+            "system={} pes={} makespan_ns={}",
+            r.system, r.n_pes, r.makespan_ns
+        );
+        let _ = writeln!(s, "total {:?}", r.comm.total);
+        for (pe, w) in r.workers.iter().enumerate() {
+            let _ = writeln!(
+                s,
+                "pe{pe} run tasks={} task_ns={} steal_ns={} search_ns={} upkeep_ns={} \
+                 first_work_ns={} runtime_ns={} crashed={} quarantined={} attempts={}",
+                w.tasks_executed,
+                w.task_ns,
+                w.steal_ns,
+                w.search_ns,
+                w.upkeep_ns,
+                w.first_work_ns,
+                w.runtime_ns,
+                w.crashed,
+                w.pes_quarantined,
+                w.steal_attempts,
             );
-            assert_reports_identical(&bare, &tabled);
-            assert!(bare.total_tasks() > 0, "workload must actually run");
+            let _ = writeln!(s, "pe{pe} queue {:?}", w.queue);
+            let _ = writeln!(s, "pe{pe} comm {:?}", r.comm.per_pe[pe]);
+            if !w.service.is_empty() {
+                let v = &w.service;
+                let _ = writeln!(
+                    s,
+                    "pe{pe} service {} {} {} {} {} {} {} {} {} {} {:?}",
+                    v.offered,
+                    v.admitted,
+                    v.shed,
+                    v.deferred,
+                    v.blocked,
+                    v.admission_wait_ns,
+                    v.parks,
+                    v.rejoins,
+                    v.readmitted,
+                    v.quiescent_windows,
+                    v.latency,
+                );
+            }
+            if !w.events.is_empty() {
+                let _ = writeln!(
+                    s,
+                    "pe{pe} events n={} fnv={:016x}",
+                    w.events.len(),
+                    fnv(&format!("{:?}", w.events))
+                );
+            }
         }
+        let proto = r.proto_trace();
+        if !proto.is_empty() {
+            let _ = writeln!(
+                s,
+                "proto n={} fnv={:016x}",
+                proto.len(),
+                fnv(&format!("{proto:?}"))
+            );
+        }
+        s
+    }
+
+    fn uts_cfg(kind: QueueKind, seed: u64) -> RunConfig {
+        let queue = QueueConfig::new(1024, 48);
+        RunConfig::new(8, SchedConfig::new(kind, queue).with_seed(seed))
+    }
+
+    fn uts_run(cfg: &RunConfig) -> RunReport {
+        run_workload(cfg, &UtsWorkload::new(UtsParams::geo_small(8)))
+    }
+
+    /// Compare `actual` with the committed golden `name`, or rewrite it
+    /// under `SWS_BLESS=1`.
+    fn check(name: &str, actual: &str) {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(name);
+        if std::env::var_os("SWS_BLESS").is_some() {
+            std::fs::write(&path, actual).expect("write golden");
+            return;
+        }
+        let expected = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read golden {}: {e}", path.display()));
+        if expected != actual {
+            let at = expected
+                .lines()
+                .zip(actual.lines())
+                .position(|(a, b)| a != b)
+                .unwrap_or(expected.lines().count().min(actual.lines().count()));
+            panic!(
+                "{name} diverged from the golden at line {}:\n  golden: {:?}\n  actual: {:?}",
+                at + 1,
+                expected.lines().nth(at),
+                actual.lines().nth(at),
+            );
+        }
+    }
+
+    #[test]
+    fn golden_batch_runs() {
+        let mut out = String::new();
+        for seed in [0xBA5E, 0xBA5E + 7919, 42] {
+            out += &render(
+                &format!("uts8 SWS seed={seed:#x}"),
+                &uts_run(&uts_cfg(QueueKind::Sws, seed)),
+            );
+        }
+        for seed in [0xBA5E, 1337] {
+            out += &render(
+                &format!("uts8 SDC seed={seed:#x}"),
+                &uts_run(&uts_cfg(QueueKind::Sdc, seed)),
+            );
+        }
+        check("batch.txt", &out);
+    }
+
+    #[test]
+    fn golden_traced_and_captured_runs() {
+        let mut out = String::new();
+        for kind in [QueueKind::Sws, QueueKind::Sdc] {
+            let mut cfg = uts_cfg(kind, 0xBA5E);
+            cfg.sched.trace = true;
+            out += &render(&format!("uts8 {kind:?} traced"), &uts_run(&cfg));
+            let cfg = uts_cfg(kind, 0xBA5E).with_capture_proto();
+            out += &render(&format!("uts8 {kind:?} captured"), &uts_run(&cfg));
+        }
+        check("observed.txt", &out);
+    }
+
+    #[test]
+    fn golden_fault_runs() {
+        let mut out = String::new();
+        for kind in [QueueKind::Sws, QueueKind::Sdc] {
+            let plan = FaultPlan::seeded(0x60_1D01)
+                .with_drop(OpClass::All, TargetSel::Any, 0.05)
+                .with_stall(1, 20_000, 80_000);
+            let cfg = uts_cfg(kind, 0xBA5E).with_faults(plan);
+            out += &render(&format!("uts8 {kind:?} drops+stall"), &uts_run(&cfg));
+            let plan = FaultPlan::seeded(0x60_1D02)
+                .with_drop(OpClass::All, TargetSel::Any, 0.03)
+                .with_crash(3, 150_000);
+            let cfg = uts_cfg(kind, 0xBA5E).with_faults(plan);
+            out += &render(&format!("uts8 {kind:?} drops+crash"), &uts_run(&cfg));
+        }
+        check("faults.txt", &out);
+    }
+
+    #[test]
+    fn golden_service_runs() {
+        let mut out = String::new();
+        for kind in [QueueKind::Sws, QueueKind::Sdc] {
+            let cfg = RunConfig::new(4, SchedConfig::new(kind, QueueConfig::new(1024, 24)));
+            let w = FlatServe::new(ArrivalPlan::poisson(0x5E41_0002, 5_000, 400_000), 3_000, 1);
+            let svc = ServiceConfig::default()
+                .with_membership(MembershipPlan::fixed().away(2, 120_000, 90_000));
+            let plan = FaultPlan::seeded(0x5E41_0002).with_drop(OpClass::All, TargetSel::Any, 0.04);
+            let r = run_service(&cfg.clone().with_faults(plan), &svc, &w);
+            out += &render(&format!("flat-serve {kind:?} away+drops"), &r);
+
+            let w = FlatServe::new(ArrivalPlan::poisson(0x5E41_0003, 1_500, 300_000), 8_000, 1);
+            let svc = ServiceConfig::default()
+                .with_admission(AdmissionPolicy::Shed)
+                .with_hwm_pct(50);
+            let r = run_service(&cfg, &svc, &w);
+            out += &render(&format!("flat-serve {kind:?} overload/shed"), &r);
+
+            let w = UtsServe::new(
+                UtsParams::geo_small(8),
+                ArrivalPlan::poisson(0x5E41_0004, 40_000, 400_000),
+                6,
+                2,
+            );
+            let cfg = RunConfig::new(4, SchedConfig::new(kind, QueueConfig::new(1024, 48)));
+            let r = run_service(&cfg, &ServiceConfig::default(), &w);
+            out += &render(&format!("uts-serve {kind:?}"), &r);
+        }
+        check("service.txt", &out);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every operation computes its modeled cost from the world's [`NetModel`]
 //! and records it in per-PE [`OpStats`]. In virtual-time mode the effect is
-//! gated through [`crate::vclock::VClock`] (applied in global virtual-time
+//! gated through the virtual-time executor (`crate::vclock`, applied in global virtual-time
 //! order, clock advanced by the cost); in threaded mode it is applied
 //! directly with real CPU atomics, optionally busy-waiting the cost out.
 //!
@@ -162,9 +162,9 @@ impl ShmemCtx {
         self.stats.borrow().clone()
     }
 
-    /// Snapshot of this PE's virtual-time engine counters (fast/slow gate
-    /// crossings, safe windows, wall-clock gate wait). All zeros in
-    /// threaded mode, which has no gate.
+    /// Snapshot of this PE's virtual-time engine counters (gated ops
+    /// admitted with and without a switch, switches, wall-clock time
+    /// suspended). All zeros in threaded mode, which has no gate.
     pub fn engine_stats(&self) -> crate::vclock::EngineStats {
         match &self.world.vclock {
             Some(vc) => vc.engine_stats(self.pe),

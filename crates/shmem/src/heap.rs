@@ -57,6 +57,8 @@ pub const CACHE_LINE_BYTES: usize = CACHE_LINE_WORDS * 8;
 struct AlignedWords {
     ptr: std::ptr::NonNull<AtomicU64>,
     len: usize,
+    /// Start of the underlying allocation (`ptr` is rounded up from it).
+    raw: std::ptr::NonNull<u8>,
     layout: std::alloc::Layout,
 }
 
@@ -67,30 +69,43 @@ unsafe impl Send for AlignedWords {}
 unsafe impl Sync for AlignedWords {}
 
 impl AlignedWords {
-    /// Allocate `len` zeroed words at `align`-byte alignment. Like the
-    /// previous `vec![0u64; N]` backing, this goes through
-    /// `alloc_zeroed`, so a multi-gigabyte heap (thousands of PEs) is
-    /// backed by untouched kernel zero pages and costs nothing until a
-    /// word is actually used; writing `AtomicU64::new(0)` per element
-    /// would first-touch every page up front.
+    /// Allocate `len` zeroed words at `align`-byte alignment.
+    ///
+    /// The allocation itself asks for only word alignment plus `align`
+    /// bytes of slack, and the base is rounded up inside it. That keeps
+    /// it on the allocator's `calloc` path, which hands large requests
+    /// fresh kernel zero pages: a multi-gigabyte heap (thousands of PEs)
+    /// costs nothing until a word is actually used. Asking the allocator
+    /// for the 128-byte alignment directly goes through `aligned_alloc`
+    /// plus a `memset` that first-touches every page up front.
     fn new_zeroed(len: usize, align: usize) -> AlignedWords {
         use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
         assert!(len > 0, "empty heap backing");
         assert!(align.is_power_of_two() && align >= std::mem::align_of::<AtomicU64>());
         let bytes = len
             .checked_mul(std::mem::size_of::<AtomicU64>())
+            .and_then(|b| b.checked_add(align))
             .expect("heap size overflows usize");
-        let layout = Layout::from_size_align(bytes, align).expect("bad heap layout");
+        let layout = Layout::from_size_align(bytes, 16).expect("bad heap layout");
         // SAFETY: `layout` has nonzero size (len > 0 asserted above).
         let raw = unsafe { alloc_zeroed(layout) };
-        if raw.is_null() {
+        let Some(raw) = std::ptr::NonNull::new(raw) else {
             handle_alloc_error(layout);
+        };
+        let pad = raw.as_ptr().align_offset(align);
+        // SAFETY: `pad < align`, so `raw + pad .. raw + pad + len * 8`
+        // lies inside the `len * 8 + align`-byte allocation; the zeroed
+        // memory is a valid bit pattern for `len` `AtomicU64`s (same
+        // layout as u64, all-zero is a valid u64), and `raw + pad` is
+        // `align`-aligned, hence non-null and word-aligned.
+        let ptr =
+            unsafe { std::ptr::NonNull::new_unchecked(raw.as_ptr().add(pad).cast::<AtomicU64>()) };
+        AlignedWords {
+            ptr,
+            len,
+            raw,
+            layout,
         }
-        // SAFETY: null was handled above; the zeroed allocation is a valid
-        // bit pattern for `len` `AtomicU64`s (same layout as u64, and
-        // all-zero is a valid u64).
-        let ptr = unsafe { std::ptr::NonNull::new_unchecked(raw.cast::<AtomicU64>()) };
-        AlignedWords { ptr, len, layout }
     }
 }
 
@@ -106,9 +121,9 @@ impl std::ops::Deref for AlignedWords {
 
 impl Drop for AlignedWords {
     fn drop(&mut self) {
-        // SAFETY: `ptr` came from `alloc_zeroed` with exactly this layout
+        // SAFETY: `raw` came from `alloc_zeroed` with exactly this layout
         // and has not been freed elsewhere.
-        unsafe { std::alloc::dealloc(self.ptr.as_ptr().cast(), self.layout) };
+        unsafe { std::alloc::dealloc(self.raw.as_ptr(), self.layout) };
     }
 }
 

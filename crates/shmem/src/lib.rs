@@ -18,12 +18,13 @@
 //! * two execution modes ([`ExecMode`]):
 //!   - `Threaded`: PEs are OS threads performing real CPU atomics on the
 //!     shared heap — used for concurrency stress tests;
-//!   - `Virtual`: the same threads are additionally serialized by a
-//!     conservative **virtual-time engine** ([`vclock::VClock`]): every
-//!     remote effect applies in global virtual-time order and advances the
-//!     issuing PE's clock by the modeled cost. This yields deterministic,
-//!     seedable "runs" of up to thousands of PEs on a single core, from
-//!     which runtime / steal time / search time are read off the clocks.
+//!   - `Virtual`: PEs are stackful coroutines on the calling thread,
+//!     driven by a conservative **virtual-time engine** ([`vclock`]):
+//!     every remote effect applies in global virtual-time order and
+//!     advances the issuing PE's clock by the modeled cost. This yields
+//!     deterministic, seedable "runs" of up to thousands of PEs on a
+//!     single core, from which runtime / steal time / search time are
+//!     read off the clocks.
 //!
 //! The public entry point is [`run_world`]:
 //!
@@ -47,6 +48,7 @@
 
 mod addr;
 mod collectives;
+mod coro;
 mod ctx;
 mod error;
 pub mod explore;
@@ -77,5 +79,5 @@ pub use prof::{merge_site_profiles, SiteCounters};
 pub use proto::{ProtoEvent, ProtoOp, NO_SITE};
 pub use runtime::{run_world, ExecMode, WorldConfig, WorldOutput};
 pub use stats::{OpStats, StatsSummary};
-pub use vclock::{EngineStats, GateMode};
+pub use vclock::EngineStats;
 pub use sync::WaitCmp;

@@ -1,16 +1,20 @@
 //! World construction and PE execution.
 //!
-//! [`run_world`] spawns one OS thread per PE, hands each a [`ShmemCtx`],
-//! runs the supplied SPMD closure, and collects per-PE results, op
-//! statistics, and final (virtual) clocks. A panic on any PE poisons the
-//! world so blocked peers fail fast instead of deadlocking, and surfaces as
+//! [`run_world`] hands every PE a [`ShmemCtx`], runs the supplied SPMD
+//! closure on each, and collects per-PE results, op statistics, and final
+//! (virtual) clocks. Threaded worlds run one OS thread per PE; virtual-time
+//! worlds run every PE as a coroutine on the calling thread, scheduled by
+//! the `VClock` executor. A panic on any PE poisons the world so blocked
+//! peers fail fast instead of deadlocking, and surfaces as
 //! [`ShmemError::PePanicked`].
 
+use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::coro::Body;
 use crate::ctx::ShmemCtx;
 use crate::error::{ShmemError, ShmemResult};
 use crate::explore::ExploreGate;
@@ -20,7 +24,7 @@ use crate::lock::{Condvar, Mutex};
 use crate::net::NetModel;
 use crate::overrides::OrderingCtl;
 use crate::stats::{OpStats, StatsSummary};
-use crate::vclock::{GateMode, VClock};
+use crate::vclock::VClock;
 
 /// How PEs execute.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -31,8 +35,9 @@ pub enum ExecMode {
         /// Busy-wait each op's modeled cost (for wall-clock microbenches).
         inject_latency: bool,
     },
-    /// Conservative virtual-time serialization: deterministic, scalable to
-    /// thousands of PEs on few cores. Use for experiments.
+    /// Conservative virtual-time serialization: every PE is a coroutine on
+    /// the calling thread, run in global virtual-time order. Deterministic,
+    /// scalable to thousands of PEs on one core. Use for experiments.
     Virtual,
 }
 
@@ -57,11 +62,6 @@ pub struct WorldConfig {
     /// Fault schedule; `None` (or an inactive plan) injects nothing and
     /// leaves every op count bit-identical to a fault-free world.
     pub faults: Option<FaultPlan>,
-    /// Virtual-time gate implementation (ignored in threaded mode). The
-    /// safe-window default and the handoff-per-op gate realize the same
-    /// deterministic effect schedule; the switch exists for differential
-    /// testing and engine benchmarking.
-    pub gate: GateMode,
     /// Record site-annotated one-sided ops as [`crate::ProtoEvent`]s for
     /// trace-conformance checking (see `crate::proto`). Off by default;
     /// when off, the op surface carries no capture state.
@@ -100,7 +100,6 @@ impl WorldConfig {
             net: NetModel::edr_infiniband(),
             mode: ExecMode::Virtual,
             faults: None,
-            gate: GateMode::default(),
             capture_proto: false,
             profile_sites: false,
             explore: None,
@@ -120,7 +119,6 @@ impl WorldConfig {
                 inject_latency: false,
             },
             faults: None,
-            gate: GateMode::default(),
             capture_proto: false,
             profile_sites: false,
             explore: None,
@@ -155,13 +153,6 @@ impl WorldConfig {
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> WorldConfig {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Select the virtual-time gate implementation.
-    #[must_use]
-    pub fn with_gate(mut self, gate: GateMode) -> WorldConfig {
-        self.gate = gate;
         self
     }
 
@@ -265,7 +256,7 @@ where
     }
     if cfg.n_pes > 1 << 16 {
         return Err(ShmemError::BadConfig(format!(
-            "n_pes = {} exceeds the 65536-PE thread budget",
+            "n_pes = {} exceeds the 65536-PE budget",
             cfg.n_pes
         )));
     }
@@ -286,7 +277,7 @@ where
     }
 
     let vclock = match cfg.mode {
-        ExecMode::Virtual => Some(Arc::new(VClock::with_gate(cfg.n_pes, cfg.gate))),
+        ExecMode::Virtual => Some(Arc::new(VClock::new(cfg.n_pes))),
         ExecMode::Threaded { .. } => None,
     };
     let explore = cfg.explore.clone();
@@ -319,68 +310,10 @@ where
     });
 
     let start = Instant::now();
-    type PeSlot<R> = Option<Result<(R, OpStats, u64), String>>;
-    let mut slots: Vec<PeSlot<R>> = Vec::new();
-    slots.resize_with(cfg.n_pes, || None);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(cfg.n_pes);
-        for pe in 0..cfg.n_pes {
-            let world = Arc::clone(&world);
-            let vclock = vclock.clone();
-            let explore = explore.clone();
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let ctx = ShmemCtx::new(pe, world);
-                let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-                match out {
-                    Ok(r) => {
-                        let stats = ctx.take_stats();
-                        let t = match &vclock {
-                            Some(vc) => {
-                                let t = vc.now(pe);
-                                vc.finish(pe);
-                                t
-                            }
-                            None => match &explore {
-                                Some(eg) => {
-                                    let t = eg.now(pe);
-                                    eg.finish(pe);
-                                    t
-                                }
-                                None => {
-                                    // A crash-stopped PE exits with fewer
-                                    // barrier entries than its peers;
-                                    // retiring lets their barriers release
-                                    // without it.
-                                    ctx.world().thread_barrier.retire();
-                                    0
-                                }
-                            },
-                        };
-                        Ok((r, stats, t))
-                    }
-                    Err(payload) => {
-                        // Poison so peers blocked in gates/barriers bail.
-                        if let Some(vc) = &vclock {
-                            vc.poison();
-                        }
-                        if let Some(eg) = &explore {
-                            eg.poison();
-                        }
-                        ctx.world().thread_barrier.poison();
-                        Err(panic_message(&*payload))
-                    }
-                }
-            }));
-        }
-        for (pe, h) in handles.into_iter().enumerate() {
-            slots[pe] = Some(match h.join() {
-                Ok(r) => r,
-                Err(payload) => Err(panic_message(&*payload)),
-            });
-        }
-    });
+    let slots = match &vclock {
+        Some(vc) => run_virtual(vc, &world, &f)?,
+        None => run_threaded(&world, &f),
+    };
     let elapsed = start.elapsed();
 
     let mut results = Vec::with_capacity(cfg.n_pes);
@@ -388,7 +321,7 @@ where
     let mut virtual_ns = Vec::with_capacity(cfg.n_pes);
     let mut first_err: Option<(usize, String)> = None;
     for (pe, slot) in slots.into_iter().enumerate() {
-        match slot.expect("every PE slot filled") {
+        match slot {
             Ok((r, s, t)) => {
                 results.push(r);
                 per_pe_stats.push(s);
@@ -419,6 +352,101 @@ where
         virtual_ns,
         elapsed,
     })
+}
+
+/// What one PE produced: its result, op counters and final clock, or its
+/// panic message.
+type PeOutcome<R> = Result<(R, OpStats, u64), String>;
+
+/// Run PE `pe`'s closure with its own context. A panic poisons the world
+/// (so peers blocked in gates and barriers bail out) and becomes the
+/// PE's error; the context is dropped before this returns.
+fn run_pe<R, F>(pe: usize, world: &Arc<WorldShared>, f: &F) -> PeOutcome<R>
+where
+    F: Fn(&ShmemCtx) -> R,
+{
+    let ctx = ShmemCtx::new(pe, Arc::clone(world));
+    match std::panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+        Ok(r) => {
+            let stats = ctx.take_stats();
+            let t = match (&world.vclock, &world.explore) {
+                (Some(vc), _) => vc.now(pe),
+                (None, Some(eg)) => {
+                    let t = eg.now(pe);
+                    eg.finish(pe);
+                    t
+                }
+                (None, None) => {
+                    // A crash-stopped PE exits with fewer barrier entries
+                    // than its peers; retiring lets their barriers release
+                    // without it.
+                    world.thread_barrier.retire();
+                    0
+                }
+            };
+            Ok((r, stats, t))
+        }
+        Err(payload) => {
+            if let Some(vc) = &world.vclock {
+                vc.poison();
+            }
+            if let Some(eg) = &world.explore {
+                eg.poison();
+            }
+            world.thread_barrier.poison();
+            Err(panic_message(&*payload))
+        }
+    }
+}
+
+/// Threaded mode: one scoped OS thread per PE.
+fn run_threaded<R, F>(world: &Arc<WorldShared>, f: &F) -> Vec<PeOutcome<R>>
+where
+    R: Send,
+    F: Fn(&ShmemCtx) -> R + Sync,
+{
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..world.heap.n_pes())
+            .map(|pe| scope.spawn(move || run_pe(pe, world, f)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| Err(panic_message(&*payload)))
+            })
+            .collect()
+    })
+}
+
+/// Virtual-time mode: every PE is a coroutine on this thread, driven by
+/// the executor until the last one exits.
+fn run_virtual<R, F>(vc: &VClock, world: &Arc<WorldShared>, f: &F) -> ShmemResult<Vec<PeOutcome<R>>>
+where
+    F: Fn(&ShmemCtx) -> R,
+{
+    let n_pes = world.heap.n_pes();
+    let slots: Vec<Cell<Option<PeOutcome<R>>>> = (0..n_pes).map(|_| Cell::new(None)).collect();
+    let mut bodies: Vec<Body<'_>> = slots
+        .iter()
+        .enumerate()
+        .map(|(pe, slot)| {
+            Box::new(move || {
+                slot.set(Some(run_pe(pe, world, f)));
+                vc.exit(pe)
+            }) as Body<'_>
+        })
+        .collect();
+    vc.run(&mut bodies)
+        .map_err(|e| ShmemError::BadConfig(format!("cannot map {n_pes} PE stacks: {e}")))?;
+    drop(bodies);
+    Ok(slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|| Err("PE never ran to completion".into()))
+        })
+        .collect())
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -661,6 +689,37 @@ mod tests {
     }
 
     #[test]
+    fn panic_releases_peers_in_later_barriers_and_waits() {
+        // PE 0 panics after the first barrier, while its peers sit in
+        // the second barrier or poll a flag nobody will set: every
+        // coroutine must resume, fail with the poison, and let the world
+        // report PE 0's own message.
+        use crate::sync::WaitCmp;
+        let err = run_world(WorldConfig::virtual_time(4, 256), |ctx| {
+            let a = ctx.alloc_words(1);
+            ctx.barrier_all();
+            match ctx.my_pe() {
+                0 => panic!("boom after round one"),
+                1 => {
+                    ctx.wait_until(1, a, WaitCmp::Eq, 1);
+                }
+                _ => {
+                    ctx.barrier_all();
+                    ctx.barrier_all();
+                }
+            }
+        })
+        .unwrap_err();
+        match err {
+            ShmemError::PePanicked { pe, message } => {
+                assert_eq!(pe, 0, "the root cause is reported, not a poison victim");
+                assert!(message.contains("boom"), "{message}");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
     fn heap_exhaustion_panics_collectively() {
         let err = run_world(WorldConfig::virtual_time(2, 64), |ctx| {
             let _ = ctx.alloc_words(1_000_000);
@@ -857,7 +916,6 @@ mod latency_injection_tests {
                     inject_latency: inject,
                 },
                 faults: None,
-                gate: GateMode::default(),
                 capture_proto: false,
                 profile_sites: false,
                 explore: None,

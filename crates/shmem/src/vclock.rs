@@ -1,82 +1,59 @@
-//! Conservative virtual-time engine.
+//! Conservative virtual-time engine: a one-thread executor.
 //!
 //! The paper evaluates on up to 2,112 cores. To reproduce its scaling
 //! figures on commodity hardware, worlds can run in *virtual-time* mode:
 //! every PE owns a virtual clock (ns); local work advances only its own
 //! clock, but every **shared-visible effect** (a one-sided operation on the
 //! symmetric heap) is *gated* — it may only be applied when the issuing PE
-//! holds the globally minimal clock (ties broken by PE rank). Effects are
-//! therefore applied in non-decreasing virtual-time order, which makes the
-//! execution serializable and — together with seeded per-PE RNGs —
-//! completely deterministic.
+//! holds the globally minimal `(clock, pe)` key among the PEs that can
+//! still apply effects. Effects are therefore applied in non-decreasing
+//! virtual-time order, which makes the execution serializable and —
+//! together with seeded per-PE RNGs — completely deterministic.
 //!
-//! This is the classic conservative (null-message-free, centralized)
-//! parallel-discrete-event-simulation rule: the minimum-timestamp entity
-//! runs next. PEs are real OS threads running straight-line scheduler code;
-//! the engine simply blocks a thread until its clock is minimal.
+//! This is the classic conservative parallel-discrete-event-simulation
+//! rule: the minimum-timestamp entity runs next. Every PE is a stackful
+//! coroutine (`crate::coro`) and all of them run on the one OS thread
+//! that called [`crate::run_world`]. Exactly one PE runs at a time; the
+//! others are suspended in a min-heap keyed by their exact `(clock, pe)`.
 //!
-//! # Safe-window (lookahead) execution
+//! * `VClock::gate` returns at once when the running PE's key is below
+//!   the heap minimum (no other PE could apply an earlier effect).
+//!   Otherwise the PE pushes itself and switches to the minimum.
+//! * `VClock::advance` only adds to the running PE's clock: nobody else
+//!   runs until it gates again, so there is nothing to publish.
+//! * `VClock::barrier` keeps arrivals out of the heap until the last
+//!   live PE arrives and releases everyone at `max(entry clocks) + cost`.
+//! * `VClock::exit` retires a PE: it releases a barrier that was only
+//!   waiting for it, then switches to the next PE (or back to the host
+//!   when none is left).
 //!
-//! A strict handoff-per-op gate pays a mutex acquisition and a condvar
-//! handoff for *every* gated effect, which dominates wall time at
-//! paper-scale PE counts. The default [`GateMode::SafeWindow`] gate
-//! amortizes that cost: when a PE is granted the gate it also learns a
-//! *horizon* — the second-smallest eligible `(clock, rank)` key. Until its
-//! own `(clock, rank)` reaches that horizon, every further effect it issues
-//! is still globally minimal *by construction*, so it may apply them
-//! lock-free. The slow path is re-entered only when the clock crosses the
-//! horizon, the PE blocks (barrier, gate of another window), or the world
-//! is poisoned.
-//!
-//! Safety argument (why the order is unchanged, see DESIGN.md §5a):
-//!
-//! * while a PE holds a window, its *published* clock stays at the grant
-//!   value, so every other PE's gate key compares greater and no second
-//!   window can be granted concurrently;
-//! * other PEs' published clocks never decrease and PEs never (re)enter
-//!   the eligible set below the horizon (a barrier cannot release while
-//!   the window holder, which is live and not arrived, stays outside), so
-//!   the horizon is a permanent lower bound on every rival effect;
-//! * published clocks are always lower bounds of true clocks (local
-//!   advances are batched and published at the next slow-path visit), so
-//!   a granted gate under published clocks is also valid under true ones.
+//! Nothing may hold a lock across a gated op or a barrier: the PE that
+//! would release it can only run on this same thread.
 //!
 //! Liveness requires every loop that waits on remote state to advance its
 //! clock between probes; [`crate::ShmemCtx`] enforces a ≥1 ns cost on every
 //! gated operation.
 
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::thread::{self, Thread};
+use std::io;
 use std::time::Instant;
 
-use crate::lock::{Condvar, Mutex};
+use crate::coro::{self, Body, Stack};
 
-/// How the virtual-time gate hands the global minimum between PEs.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum GateMode {
-    /// Grant safe windows: a gated PE may apply every effect below the
-    /// second-smallest eligible clock lock-free (the fast engine).
-    #[default]
-    SafeWindow,
-    /// Take the global mutex and hand the gate off for every single op
-    /// (the original engine; kept for differential testing).
-    HandoffPerOp,
-}
-
-/// Per-PE engine counters: how often the gate was crossed lock-free vs.
-/// through the mutex, and how long the PE really waited for its turn.
+/// Per-PE engine counters: how often a gated op was admitted at once vs.
+/// after a switch, and how long the PE spent suspended.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Gated ops admitted lock-free inside a safe window.
+    /// Gated ops admitted at once: the PE already held the minimum.
     pub fast_ops: u64,
-    /// Gated ops that took the mutex (includes every op in
-    /// [`GateMode::HandoffPerOp`]).
+    /// Gated ops that first suspended the PE until it held the minimum.
     pub slow_ops: u64,
-    /// Safe windows granted.
-    pub windows: u64,
-    /// Wall-clock ns spent blocked waiting for the gate.
+    /// Times the PE was suspended: every slow op and every barrier wait.
+    pub switches: u64,
+    /// Wall-clock ns spent suspended (including before the PE's first
+    /// run).
     pub gate_wait_ns: u64,
 }
 
@@ -86,7 +63,7 @@ impl EngineStats {
         self.fast_ops + self.slow_ops
     }
 
-    /// Fraction of gated ops admitted lock-free (0 when none ran).
+    /// Fraction of gated ops admitted without a switch (0 when none ran).
     pub fn fast_fraction(&self) -> f64 {
         let total = self.gated_ops();
         if total == 0 {
@@ -100,370 +77,254 @@ impl EngineStats {
     pub fn merge(&mut self, other: &EngineStats) {
         self.fast_ops += other.fast_ops;
         self.slow_ops += other.slow_ops;
-        self.windows += other.windows;
+        self.switches += other.switches;
         self.gate_wait_ns += other.gate_wait_ns;
     }
 }
 
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum PeState {
-    /// Executing; its clock participates in the global minimum.
-    Running,
-    /// Blocked in `gate` waiting to become the minimum.
-    Gating,
-    /// Blocked in a barrier; excluded from the minimum (it will apply no
-    /// effect until every PE has entered, at which point clocks resync).
-    InBarrier,
-    /// Finished; excluded from the minimum forever.
-    Done,
+/// One PE as the executor sees it.
+struct Pe {
+    clock: Cell<u64>,
+    /// Saved stack pointer while suspended (see [`coro::switch`]).
+    sp: Cell<usize>,
+    /// Wall clock at the last suspension.
+    suspended_at: Cell<Instant>,
+    stats: Cell<EngineStats>,
 }
 
-/// Per-PE fast-path state. Only the owning PE's thread reads or writes
-/// these fields (all with `Relaxed`); they are atomics solely so `VClock`
-/// stays `Sync` without per-PE unsafe. Aligned out to its own cache line
-/// so neighbouring PEs' fast paths never false-share.
-#[repr(align(128))]
+/// Barrier bookkeeping.
 #[derive(Default)]
-struct PeWindow {
-    /// A safe window is open (set under the mutex at grant time, cleared
-    /// at every slow-path entry).
-    active: AtomicBool,
-    /// Direct-handoff token: the PE releasing the gate performs all
-    /// bookkeeping for the next minimum (state flip, window grant) under
-    /// the mutex, then sets this flag and unparks the winner — which
-    /// returns from `park` straight into its op without touching the
-    /// lock. Release/Acquire on this flag carries the happens-before
-    /// edge between consecutive effect applications across PEs.
-    granted: AtomicBool,
-    /// Horizon clock: effects strictly below `(h_t, h_rank)` are still
-    /// globally minimal. `u64::MAX` pair = no rival (unbounded window).
-    h_t: AtomicU64,
-    /// Horizon tie-break rank.
-    h_rank: AtomicU64,
-    /// Engine counters (see [`EngineStats`]).
-    fast_ops: AtomicU64,
-    slow_ops: AtomicU64,
-    windows: AtomicU64,
-    gate_wait_ns: AtomicU64,
+struct Barrier {
+    /// PEs suspended in the pending barrier (not in the heap).
+    waiting: Vec<usize>,
+    max_clock: u64,
+    /// Bumped by every release; a waiter resumed without a bump was woken
+    /// by poison.
+    generation: u64,
 }
 
-impl PeWindow {
-    /// Owner-only increment: no rmw needed, nobody else writes.
-    #[inline]
-    fn bump(counter: &AtomicU64, by: u64) {
-        counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Relaxed);
-    }
+/// The virtual-time executor shared by all PEs of a world.
+pub(crate) struct VClock {
+    pes: Vec<Pe>,
+    /// Suspended PEs that may apply effects, keyed by exact `(clock, pe)`.
+    /// The running PE, barrier waiters and exited PEs are not in it.
+    heap: RefCell<BinaryHeap<Reverse<(u64, usize)>>>,
+    barrier: RefCell<Barrier>,
+    /// PEs that have not exited.
+    live: Cell<usize>,
+    /// Set when any PE panics, so suspended peers bail out on resume.
+    poisoned: Cell<bool>,
+    /// The host's stack pointer (the context that called `run`) while
+    /// PEs run.
+    host_sp: Cell<usize>,
+    /// The running context: a PE, or `None` for the host.
+    current: Cell<Option<usize>>,
 }
 
-struct Inner {
-    /// Published gating clocks — lower bounds of the true clocks in
-    /// `mirror`, refreshed at every slow-path visit.
-    clocks: Vec<u64>,
-    state: Vec<PeState>,
-    /// Lazy min-heap of (clock, pe); stale entries are skipped on pop.
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Barrier bookkeeping.
-    bar_arrived: usize,
-    bar_generation: u64,
-    bar_max_clock: u64,
-    /// Park handles, registered lazily the first time a PE blocks in the
-    /// gate; `poison` unparks every registered thread.
-    threads: Vec<Option<Thread>>,
-}
-
-impl Inner {
-    /// Current minimum among eligible PEs, if any. Pops stale heap entries.
-    fn min_eligible(&mut self) -> Option<(u64, usize)> {
-        while let Some(&Reverse((t, pe))) = self.heap.peek() {
-            let eligible = matches!(self.state[pe], PeState::Running | PeState::Gating);
-            if eligible && self.clocks[pe] == t {
-                return Some((t, pe));
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
-    fn push(&mut self, pe: usize) {
-        self.heap.push(Reverse((self.clocks[pe], pe)));
-    }
-}
-
-/// The virtual-time engine shared by all PEs of a world.
-pub struct VClock {
-    inner: Mutex<Inner>,
-    /// Condvar for barrier generation changes (gate wakeups use direct
-    /// park/unpark handoff instead — see [`PeWindow::granted`]).
-    bar_cv: Condvar,
-    /// True clocks, written only by the owning PE (plus barrier release
-    /// under the mutex while the owner is parked); lock-free `now` reads.
-    mirror: Vec<AtomicU64>,
-    /// Per-PE safe-window state (owner-accessed).
-    window: Vec<PeWindow>,
-    /// Set when any PE panics, so blocked peers can bail out.
-    poisoned: AtomicBool,
-    /// Safe-window lookahead enabled?
-    lookahead: bool,
-    n_pes: usize,
-}
+// SAFETY: a `VClock` is built only by `run_world`'s virtual-time path and
+// reached only through that world's `ShmemCtx`s (not `Sync`, so they stay
+// on their coroutines). All coroutines run one at a time on the thread
+// that calls `VClock::run`, so no field (each a `Cell`, a `RefCell`, or
+// `Pe`s made of `Cell`s) is ever accessed concurrently. `Sync` is needed
+// only because `WorldShared`, which holds the engine, is shared across
+// threads in threaded mode.
+unsafe impl Sync for VClock {}
 
 impl VClock {
-    /// Engine for `n_pes` PEs, all clocks at 0, with the default
-    /// safe-window gate.
-    pub fn new(n_pes: usize) -> VClock {
-        VClock::with_gate(n_pes, GateMode::SafeWindow)
-    }
-
-    /// Engine with an explicit gate mode.
-    pub fn with_gate(n_pes: usize, gate: GateMode) -> VClock {
+    /// Engine for `n_pes` PEs, all clocks at 0.
+    pub(crate) fn new(n_pes: usize) -> VClock {
         assert!(n_pes > 0);
-        let mut heap = BinaryHeap::with_capacity(n_pes * 2);
-        for pe in 0..n_pes {
-            heap.push(Reverse((0, pe)));
-        }
+        let now = Instant::now();
         VClock {
-            inner: Mutex::new(Inner {
-                clocks: vec![0; n_pes],
-                state: vec![PeState::Running; n_pes],
-                heap,
-                bar_arrived: 0,
-                bar_generation: 0,
-                bar_max_clock: 0,
-                threads: vec![None; n_pes],
-            }),
-            bar_cv: Condvar::new(),
-            mirror: (0..n_pes).map(|_| AtomicU64::new(0)).collect(),
-            window: (0..n_pes).map(|_| PeWindow::default()).collect(),
-            poisoned: AtomicBool::new(false),
-            lookahead: gate == GateMode::SafeWindow,
-            n_pes,
+            pes: (0..n_pes)
+                .map(|_| Pe {
+                    clock: Cell::new(0),
+                    sp: Cell::new(0),
+                    suspended_at: Cell::new(now),
+                    stats: Cell::new(EngineStats::default()),
+                })
+                .collect(),
+            heap: RefCell::new((0..n_pes).map(|pe| Reverse((0, pe))).collect()),
+            barrier: RefCell::new(Barrier::default()),
+            live: Cell::new(n_pes),
+            poisoned: Cell::new(false),
+            host_sp: Cell::new(0),
+            current: Cell::new(None),
         }
     }
 
-    /// Number of PEs driven by this engine.
-    pub fn n_pes(&self) -> usize {
-        self.n_pes
-    }
-
-    /// The gate mode this engine runs.
-    pub fn gate_mode(&self) -> GateMode {
-        if self.lookahead {
-            GateMode::SafeWindow
-        } else {
-            GateMode::HandoffPerOp
+    /// Run one coroutine per PE, `bodies[pe]` on PE `pe`'s stack, until
+    /// every PE has exited. Each body must end with `VClock::exit`.
+    pub(crate) fn run(&self, bodies: &mut [Body<'_>]) -> io::Result<()> {
+        assert_eq!(bodies.len(), self.pes.len(), "one body per PE");
+        assert_eq!(self.live.get(), self.pes.len(), "an executor runs once");
+        let stacks = bodies
+            .iter()
+            .map(|_| Stack::new())
+            .collect::<io::Result<Vec<Stack>>>()?;
+        for ((pe, stack), body) in self.pes.iter().zip(&stacks).zip(bodies.iter_mut()) {
+            pe.sp.set(stack.prepare(body));
         }
+        self.switch(None, self.pop_next());
+        assert_eq!(self.live.get(), 0, "the host resumed with PEs left");
+        // Only now, with every PE exited, may the stacks be unmapped.
+        drop(stacks);
+        Ok(())
     }
 
-    /// Current virtual time of `pe`, in ns (lock-free).
+    /// Current virtual time of `pe`, in ns.
     #[inline]
-    pub fn now(&self, pe: usize) -> u64 {
-        self.mirror[pe].load(Ordering::Relaxed)
+    pub(crate) fn now(&self, pe: usize) -> u64 {
+        self.pes[pe].clock.get()
     }
 
     /// Engine counters for `pe`.
-    pub fn engine_stats(&self, pe: usize) -> EngineStats {
-        let w = &self.window[pe];
-        EngineStats {
-            fast_ops: w.fast_ops.load(Ordering::Relaxed),
-            slow_ops: w.slow_ops.load(Ordering::Relaxed),
-            windows: w.windows.load(Ordering::Relaxed),
-            gate_wait_ns: w.gate_wait_ns.load(Ordering::Relaxed),
-        }
+    pub(crate) fn engine_stats(&self, pe: usize) -> EngineStats {
+        self.pes[pe].stats.get()
     }
 
-    fn check_poison(&self) {
-        if self.poisoned.load(Ordering::Relaxed) {
-            panic!("virtual-time world poisoned: a peer PE panicked");
-        }
+    fn bump(&self, pe: usize, f: impl FnOnce(&mut EngineStats)) {
+        let cell = &self.pes[pe].stats;
+        let mut s = cell.get();
+        f(&mut s);
+        cell.set(s);
     }
 
-    /// Mark the world poisoned (a PE panicked) and wake everyone. This
-    /// also invalidates every open safe window: the fast path checks the
-    /// poison flag before admitting each effect.
-    pub fn poison(&self) {
-        self.poisoned.store(true, Ordering::Relaxed);
-        let guard = self.inner.lock();
-        for t in guard.threads.iter().flatten() {
-            t.unpark();
+    /// Mark the world poisoned (a PE panicked). Barrier waiters rejoin
+    /// the heap so they, like every other suspended PE, resume and panic
+    /// on their own stacks.
+    pub(crate) fn poison(&self) {
+        self.poisoned.set(true);
+        let waiting = std::mem::take(&mut self.barrier.borrow_mut().waiting);
+        let mut heap = self.heap.borrow_mut();
+        for q in waiting {
+            heap.push(Reverse((self.pes[q].clock.get(), q)));
         }
-        self.bar_cv.notify_all();
     }
 
     /// Whether the world has been poisoned by a peer panic.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Relaxed)
+    pub(crate) fn is_poisoned(&self) -> bool {
+        self.poisoned.get()
     }
 
-    /// If the current global minimum is a PE parked in the gate, hand it
-    /// the gate: flip it to Running, grant its safe window, and publish
-    /// the token. Returns the winner's park handle — the caller must
-    /// unpark it **after dropping the lock**, so the woken PE (which
-    /// needs no lock itself) never collides with our critical section on
-    /// a preemptive single-core schedule.
-    #[must_use]
-    fn hand_off(&self, inner: &mut Inner) -> Option<Thread> {
-        let (_, pe) = inner.min_eligible()?;
-        if inner.state[pe] != PeState::Gating {
-            return None;
-        }
-        inner.state[pe] = PeState::Running;
-        if self.lookahead {
-            self.grant_window(inner, pe);
-        }
-        self.window[pe].granted.store(true, Ordering::Release);
-        inner.threads[pe].clone()
+    fn poison_panic() -> ! {
+        panic!("virtual-time world poisoned: a peer PE panicked");
     }
 
-    /// Is `pe` inside a safe window that still covers its current clock?
-    #[inline]
-    fn window_ok(&self, pe: usize) -> bool {
-        if !self.lookahead {
+    /// Entry check of every switching operation. Returns `false` when the
+    /// caller must not switch: it runs during a panic's unwinding, whose
+    /// panic count belongs to this OS thread — resuming a peer would hand
+    /// that peer a thread that looks like it is panicking. Such an entry
+    /// poisons the world and lets the operation proceed unordered.
+    fn may_switch(&self) -> bool {
+        if std::thread::panicking() {
+            self.poison();
             return false;
         }
-        let w = &self.window[pe];
-        if !w.active.load(Ordering::Relaxed) {
-            return false;
+        if self.poisoned.get() {
+            Self::poison_panic();
         }
-        let t = self.mirror[pe].load(Ordering::Relaxed);
-        let (h_t, h_rank) = (
-            w.h_t.load(Ordering::Relaxed),
-            w.h_rank.load(Ordering::Relaxed),
-        );
-        (t, pe as u64) < (h_t, h_rank)
-    }
-
-    /// Publish `pe`'s true clock into the gating state. Returns whether
-    /// the published clock changed (the caller must then consider waking
-    /// the new minimum).
-    fn publish(&self, inner: &mut Inner, pe: usize) -> bool {
-        let t = self.mirror[pe].load(Ordering::Relaxed);
-        if inner.clocks[pe] == t {
-            return false;
-        }
-        inner.clocks[pe] = t;
-        inner.push(pe);
         true
     }
 
-    /// Grant a safe window to `pe`, whose fresh entry is the heap top:
-    /// the horizon is the second-smallest eligible key.
-    fn grant_window(&self, inner: &mut Inner, pe: usize) {
-        let mine = inner.heap.pop().expect("granted PE owns the heap top");
-        debug_assert_eq!(mine, Reverse((inner.clocks[pe], pe)));
-        let horizon = inner.min_eligible();
-        inner.heap.push(mine);
-        let (h_t, h_rank) = match horizon {
-            Some((t, rank)) => (t, rank as u64),
-            None => (u64::MAX, u64::MAX),
+    /// Suspend the running PE `from` (or exit it) and resume `to`, or the
+    /// host when `to` is `None`. One wall-clock read per switch feeds
+    /// both sides' suspended time.
+    fn switch(&self, from: Option<usize>, to: Option<usize>) {
+        // Saving into the wrong slot would later resume a context that
+        // does not exist; this check is what lets callers stay safe.
+        assert_eq!(
+            self.current.get(),
+            from,
+            "switch away from a context that is not running"
+        );
+        assert_ne!(from, to, "switch to the running context");
+        self.current.set(to);
+        let t = Instant::now();
+        let save = match from {
+            Some(pe) => {
+                self.pes[pe].suspended_at.set(t);
+                &self.pes[pe].sp
+            }
+            None => &self.host_sp,
         };
-        let w = &self.window[pe];
-        w.h_t.store(h_t, Ordering::Relaxed);
-        w.h_rank.store(h_rank, Ordering::Relaxed);
-        w.active.store(true, Ordering::Relaxed);
-        PeWindow::bump(&w.windows, 1);
+        let target = match to {
+            Some(q) => {
+                let waited = t.duration_since(self.pes[q].suspended_at.get());
+                self.bump(q, |s| s.gate_wait_ns += waited.as_nanos() as u64);
+                self.pes[q].sp.get()
+            }
+            None => self.host_sp.get(),
+        };
+        // SAFETY: `target` is the saved stack pointer of a context that
+        // is suspended right now, and `save` belongs to the context that
+        // is running (checked above). The target is the host
+        // (suspended in `run` while any PE runs), or a PE just popped
+        // from the heap: every heap entry is a PE that switched away (or
+        // was prepared by `run`) and has not been resumed since. Stacks
+        // and bodies stay in place until `run` returns, after every PE
+        // has exited.
+        unsafe { coro::switch(save, target) };
+    }
+
+    /// Pop the heap minimum: the PE that runs next.
+    fn pop_next(&self) -> Option<usize> {
+        self.heap.borrow_mut().pop().map(|Reverse((_, q))| q)
+    }
+
+    /// Suspend `pe` (already back in the heap or parked in a barrier)
+    /// and run `next`. Returns when some PE resumes `pe`.
+    fn suspend(&self, pe: usize, next: Option<usize>) {
+        self.bump(pe, |s| s.switches += 1);
+        debug_assert!(next.is_some(), "PE {pe} suspended with no runnable peer");
+        self.switch(Some(pe), next);
     }
 
     /// Advance `pe`'s clock by `dt` ns without gating (local work: task
-    /// execution, queue bookkeeping). With the safe-window gate the new
-    /// clock is published lazily at the next slow-path visit; the
-    /// handoff-per-op gate publishes (and wakes the new minimum) at once.
-    pub fn advance(&self, pe: usize, dt: u64) {
-        if dt == 0 {
-            return;
-        }
-        let t = self.mirror[pe].load(Ordering::Relaxed).saturating_add(dt);
-        self.mirror[pe].store(t, Ordering::Relaxed);
-        if !self.lookahead {
-            let waker = {
-                let mut inner = self.inner.lock();
-                debug_assert_eq!(inner.state[pe], PeState::Running);
-                self.publish(&mut inner, pe);
-                self.hand_off(&mut inner)
-            };
-            if let Some(t) = waker {
-                t.unpark();
-            }
-        }
+    /// execution, queue bookkeeping).
+    #[inline]
+    pub(crate) fn advance(&self, pe: usize, dt: u64) {
+        let c = &self.pes[pe].clock;
+        c.set(c.get().saturating_add(dt));
     }
 
-    /// Block until `pe` holds the minimal (clock, rank) among eligible PEs.
-    /// On return the caller may apply one shared-visible effect, and must
-    /// then call [`VClock::advance`] with the effect's nonzero cost.
-    ///
-    /// Inside a still-valid safe window this is lock-free: the horizon
-    /// already proves the minimum.
+    /// Return once `pe` holds the minimal `(clock, pe)` among the PEs that
+    /// may apply effects. The caller may then apply one shared-visible
+    /// effect, and must then call `VClock::advance` with the effect's
+    /// nonzero cost.
     #[inline]
-    pub fn gate(&self, pe: usize) {
-        if self.window_ok(pe) {
-            self.check_poison();
-            PeWindow::bump(&self.window[pe].fast_ops, 1);
-            return;
+    pub(crate) fn gate(&self, pe: usize) {
+        let key = (self.pes[pe].clock.get(), pe);
+        let blocked = matches!(self.heap.borrow().peek(), Some(&Reverse(min)) if min < key);
+        if blocked || self.poisoned.get() {
+            self.gate_slow(pe, key);
+        } else {
+            self.bump(pe, |s| s.fast_ops += 1);
         }
-        self.gate_slow(pe);
     }
 
     #[cold]
-    fn gate_slow(&self, pe: usize) {
-        let w = &self.window[pe];
-        w.active.store(false, Ordering::Relaxed);
-        PeWindow::bump(&w.slow_ops, 1);
-        let mut inner = self.inner.lock();
-        let mut pending: Option<Thread> = None;
-        if self.publish(&mut inner, pe) {
-            // Raising our published clock may promote a gating peer to
-            // the global minimum; hand it the gate (the unpark itself is
-            // deferred until we release the lock below).
-            pending = self.hand_off(&mut inner);
+    fn gate_slow(&self, pe: usize, key: (u64, usize)) {
+        if !self.may_switch() {
+            return;
         }
-        loop {
-            self.check_poison();
-            match inner.min_eligible() {
-                Some((_, min_pe)) if min_pe == pe => {
-                    // `pending` is necessarily None here: a handed-off
-                    // peer became Running below our clock, so it — not we
-                    // — would be the minimum.
-                    inner.state[pe] = PeState::Running;
-                    if self.lookahead {
-                        self.grant_window(&mut inner, pe);
-                    }
-                    return;
-                }
-                Some(_) => {
-                    inner.state[pe] = PeState::Gating;
-                    if inner.threads[pe].is_none() {
-                        inner.threads[pe] = Some(thread::current());
-                    }
-                    drop(inner);
-                    if let Some(t) = pending.take() {
-                        t.unpark();
-                    }
-                    // Park until a peer hands us the gate (it has already
-                    // flipped us to Running and granted our window under
-                    // the lock) or the world is poisoned. A stale unpark
-                    // token only causes a benign spin of this loop.
-                    let t0 = Instant::now();
-                    while !w.granted.load(Ordering::Acquire) {
-                        self.check_poison();
-                        thread::park();
-                    }
-                    w.granted.store(false, Ordering::Relaxed);
-                    PeWindow::bump(&w.gate_wait_ns, t0.elapsed().as_nanos() as u64);
-                    return;
-                }
-                None => {
-                    // All peers are Done or in a barrier while we gate:
-                    // we must be eligible ourselves (we're live) — our own
-                    // entry may have gone stale; repush and retry.
-                    inner.state[pe] = PeState::Running;
-                    inner.push(pe);
-                }
-            }
+        self.bump(pe, |s| s.slow_ops += 1);
+        // The heap minimum runs next and this PE takes its slot: one
+        // sift instead of a push and a pop.
+        let next = match self.heap.borrow_mut().peek_mut() {
+            Some(mut top) => std::mem::replace(&mut *top, Reverse(key)).0 .1,
+            // Unreachable: a blocked gate saw a smaller key in the heap.
+            None => return,
+        };
+        self.suspend(pe, Some(next));
+        if self.poisoned.get() {
+            Self::poison_panic();
         }
     }
 
     /// Gate, apply `f`, advance by `cost` (clamped ≥ 1 ns), return `f`'s
     /// result. This is the one-stop shop used for remote operations.
-    pub fn gated<R>(&self, pe: usize, cost: u64, f: impl FnOnce() -> R) -> R {
+    pub(crate) fn gated<R>(&self, pe: usize, cost: u64, f: impl FnOnce() -> R) -> R {
         self.gate(pe);
         let r = f();
         self.advance(pe, cost.max(1));
@@ -471,376 +332,258 @@ impl VClock {
     }
 
     /// Synchronize all live PEs: every clock jumps to
-    /// `max(entry clocks) + cost`. PEs inside the barrier are excluded from
-    /// the gate minimum (they apply no effects until release).
-    pub fn barrier(&self, pe: usize, cost: u64) {
-        let mut inner = self.inner.lock();
-        self.check_poison();
-        self.window[pe].active.store(false, Ordering::Relaxed);
-        self.publish(&mut inner, pe);
-        assert_eq!(
-            inner.state[pe],
-            PeState::Running,
-            "barrier entered from a non-running state"
-        );
-        inner.state[pe] = PeState::InBarrier;
-        inner.bar_arrived += 1;
-        let my_clock = inner.clocks[pe];
-        inner.bar_max_clock = inner.bar_max_clock.max(my_clock);
-
-        if !self.maybe_release_barrier(&mut inner, cost) {
-            // This PE just left the eligible set — if it was the minimum,
-            // a gating peer may now be runnable and must be handed the
-            // gate (rare path: unparking under the lock is acceptable).
-            if let Some(t) = self.hand_off(&mut inner) {
-                t.unpark();
-            }
-            let gen = inner.bar_generation;
-            while inner.bar_generation == gen {
-                // Check poison only while the barrier is still pending: if
-                // the release already happened, this PE completed the
-                // barrier and reports its own failure (if any) later.
-                self.check_poison();
-                self.bar_cv.wait(&mut inner);
-            }
+    /// `max(entry clocks) + cost`. PEs inside the barrier stay out of the
+    /// heap (they apply no effects until release).
+    pub(crate) fn barrier(&self, pe: usize, cost: u64) {
+        if !self.may_switch() {
+            return;
+        }
+        let gen = {
+            let mut b = self.barrier.borrow_mut();
+            b.waiting.push(pe);
+            b.max_clock = b.max_clock.max(self.pes[pe].clock.get());
+            b.generation
+        };
+        if self.maybe_release_barrier(cost, Some(pe)) {
+            return;
+        }
+        self.suspend(pe, self.pop_next());
+        // Resumed either by the release (generation bumped) or by poison.
+        if self.barrier.borrow().generation == gen {
+            Self::poison_panic();
         }
     }
 
-    /// Release an in-progress barrier if every live PE has arrived.
-    /// Returns `true` when the barrier was released by this call.
-    fn maybe_release_barrier(&self, inner: &mut Inner, cost: u64) -> bool {
-        let live = inner
-            .state
-            .iter()
-            .filter(|s| !matches!(s, PeState::Done))
-            .count();
-        if inner.bar_arrived == 0 || inner.bar_arrived != live {
+    /// Release the pending barrier if every live PE has arrived: every
+    /// waiter gets the synchronized clock, and all but `running` (the
+    /// last arrival, which carries on) rejoin the heap. Returns whether it
+    /// released.
+    fn maybe_release_barrier(&self, cost: u64, running: Option<usize>) -> bool {
+        let mut b = self.barrier.borrow_mut();
+        if b.waiting.is_empty() || b.waiting.len() != self.live.get() {
             return false;
         }
-        // Last arrival: release everyone at the synchronized clock.
-        let new_t = inner.bar_max_clock.saturating_add(cost);
-        for q in 0..self.n_pes {
-            if inner.state[q] == PeState::InBarrier {
-                inner.clocks[q] = new_t;
-                self.mirror[q].store(new_t, Ordering::Relaxed);
-                inner.state[q] = PeState::Running;
-                inner.push(q);
+        let new_t = b.max_clock.saturating_add(cost);
+        let mut heap = self.heap.borrow_mut();
+        for q in b.waiting.drain(..) {
+            self.pes[q].clock.set(new_t);
+            if Some(q) != running {
+                heap.push(Reverse((new_t, q)));
             }
         }
-        inner.bar_arrived = 0;
-        inner.bar_max_clock = 0;
-        inner.bar_generation += 1;
-        self.bar_cv.notify_all();
-        if let Some(t) = self.hand_off(inner) {
-            t.unpark();
-        }
+        b.max_clock = 0;
+        b.generation += 1;
         true
     }
 
-    /// Mark `pe` finished: its clock freezes and it no longer blocks the
-    /// gate or barriers. If `pe` was the last PE a pending barrier was
-    /// waiting on, the barrier releases (finished PEs cannot participate).
-    pub fn finish(&self, pe: usize) {
-        let mut inner = self.inner.lock();
-        self.window[pe].active.store(false, Ordering::Relaxed);
-        // Keep the final clock readable via `now`; the Done state (not a
-        // sentinel clock value) excludes the PE from gating.
-        inner.clocks[pe] = self.mirror[pe].load(Ordering::Relaxed);
-        inner.state[pe] = PeState::Done;
-        let waker = self.hand_off(&mut inner);
-        self.maybe_release_barrier(&mut inner, 0);
-        drop(inner);
-        if let Some(t) = waker {
-            t.unpark();
-        }
+    /// Retire `pe` for good: its clock freezes (still readable via
+    /// `VClock::now`) and it no longer holds back the gate or barriers.
+    /// A barrier that was waiting only for `pe` releases (at its max entry
+    /// clock, with no cost: `pe` never arrived to name one). Then the next
+    /// PE runs, or the host once every PE has exited.
+    pub(crate) fn exit(&self, pe: usize) -> ! {
+        self.live.set(self.live.get() - 1);
+        self.maybe_release_barrier(0, None);
+        self.switch(Some(pe), self.pop_next());
+        // Nothing resumes an exited PE.
+        std::process::abort()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::thread;
-
-    #[test]
-    fn single_pe_never_blocks() {
-        let vc = VClock::new(1);
-        vc.gate(0);
-        vc.advance(0, 10);
-        assert_eq!(vc.now(0), 10);
-        let r = vc.gated(0, 5, || 42);
-        assert_eq!(r, 42);
-        assert_eq!(vc.now(0), 15);
-        vc.finish(0);
-    }
-
-    #[test]
-    fn single_pe_window_is_unbounded() {
-        // One PE has no rival: after the first gate, every further gated
-        // op is admitted lock-free.
-        let vc = VClock::new(1);
-        for _ in 0..100 {
-            vc.gated(0, 3, || ());
-        }
-        let es = vc.engine_stats(0);
-        assert_eq!(es.gated_ops(), 100);
-        assert_eq!(es.slow_ops, 1, "only the first op takes the mutex");
-        assert_eq!(es.fast_ops, 99);
-        assert_eq!(es.windows, 1);
-        vc.finish(0);
-    }
-
-    #[test]
-    fn handoff_mode_never_grants_windows() {
-        let vc = VClock::with_gate(1, GateMode::HandoffPerOp);
-        assert_eq!(vc.gate_mode(), GateMode::HandoffPerOp);
-        for _ in 0..10 {
-            vc.gated(0, 3, || ());
-        }
-        let es = vc.engine_stats(0);
-        assert_eq!(es.fast_ops, 0);
-        assert_eq!(es.slow_ops, 10);
-        assert_eq!(es.windows, 0);
-        vc.finish(0);
-    }
-
-    fn ordered_log_run(gate: GateMode) -> Vec<(u64, usize)> {
-        let vc = Arc::new(VClock::with_gate(3, gate));
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mut handles = Vec::new();
-        for pe in 0..3usize {
-            let vc = Arc::clone(&vc);
-            let log = Arc::clone(&log);
-            handles.push(thread::spawn(move || {
-                // Different per-PE step sizes make interleavings nontrivial.
-                let step = [7u64, 5, 11][pe];
-                for _ in 0..50 {
-                    vc.gated(pe, step, || {
-                        let t = vc.now(pe);
-                        log.lock().push((t, pe));
-                    });
-                }
-                vc.finish(pe);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let v = log.lock().clone();
-        v
-    }
-
-    #[test]
-    fn effects_apply_in_virtual_time_order() {
-        // Three PEs each record (virtual time, pe) into a shared log at
-        // gated points; the log must come out sorted by (time, pe) under
-        // both gates, and the two gates must produce the same log.
-        let fast = ordered_log_run(GateMode::SafeWindow);
-        assert_eq!(fast.len(), 150);
-        for w in fast.windows(2) {
-            assert!(w[0] <= w[1], "out of order: {:?} then {:?}", w[0], w[1]);
-        }
-        let slow = ordered_log_run(GateMode::HandoffPerOp);
-        assert_eq!(fast, slow, "gates disagree on the effect schedule");
-    }
-
-    #[test]
-    fn barrier_synchronizes_clocks() {
-        for gate in [GateMode::SafeWindow, GateMode::HandoffPerOp] {
-            let vc = Arc::new(VClock::with_gate(4, gate));
-            let mut handles = Vec::new();
-            for pe in 0..4usize {
-                let vc = Arc::clone(&vc);
-                handles.push(thread::spawn(move || {
-                    vc.advance(pe, (pe as u64 + 1) * 100);
-                    vc.barrier(pe, 50);
-                    let t = vc.now(pe);
-                    vc.finish(pe);
-                    t
-                }));
-            }
-            let times: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            // max entry clock = 400, +50 barrier cost.
-            assert!(times.iter().all(|&t| t == 450), "{gate:?}: {times:?}");
-        }
-    }
-
-    #[test]
-    fn finished_pes_do_not_block_gate() {
-        let vc = Arc::new(VClock::new(2));
-        let vc2 = Arc::clone(&vc);
-        let h = thread::spawn(move || {
-            vc2.advance(0, 1);
-            vc2.finish(0);
-        });
-        h.join().unwrap();
-        // PE 1 at clock 0 gates; PE 0 is done at clock 1 — must not block.
-        vc.gated(1, 10, || ());
-        assert_eq!(vc.now(1), 10);
-        vc.finish(1);
-    }
-
-    #[test]
-    fn window_closes_at_the_horizon() {
-        // PE 1 parks at clock 1_000; PE 0's window must admit effects
-        // lock-free only below 1_000, then take the slow path again.
-        let vc = Arc::new(VClock::new(2));
-        let vc2 = Arc::clone(&vc);
-        let h = thread::spawn(move || {
-            vc2.advance(1, 1_000);
-            vc2.gated(1, 1, || ()); // publishes clock 1_000, then waits
-            vc2.finish(1);
-        });
-        // Let PE 1 publish and block (it cannot pass PE 0 at clock 0).
-        thread::sleep(std::time::Duration::from_millis(20));
-        for _ in 0..12 {
-            vc.gated(0, 100, || ());
-        }
-        let es = vc.engine_stats(0);
-        // Grant at t=0 with horizon (1_000, rank 1): ops at 100..=900 are
-        // below it, and the op at exactly 1_000 still wins the rank
-        // tie-break — 10 fast ops. The first op and the op at 1_100 take
-        // the mutex.
-        assert!(es.fast_ops >= 10, "window batched ops: {es:?}");
-        assert!(es.slow_ops >= 2, "horizon forced a slow re-entry: {es:?}");
-        vc.finish(0);
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn deterministic_interleaving() {
-        // Two identical runs must produce identical logs.
-        fn run() -> Vec<(u64, usize)> {
-            let vc = Arc::new(VClock::new(4));
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let mut handles = Vec::new();
-            for pe in 0..4usize {
-                let vc = Arc::clone(&vc);
-                let log = Arc::clone(&log);
-                handles.push(thread::spawn(move || {
-                    let step = [3u64, 4, 5, 6][pe];
-                    for i in 0..40u64 {
-                        vc.gated(pe, step + (i % 3), || {
-                            let t = vc.now(pe);
-                            log.lock().push((t, pe));
-                        });
-                    }
-                    vc.finish(pe);
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            let v = log.lock().clone();
-            v
-        }
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn poison_wakes_blocked_peers() {
-        let vc = Arc::new(VClock::new(2));
-        let vc2 = Arc::clone(&vc);
-        // PE 1 will block in gate behind PE 0's clock 0; poisoning must
-        // wake it with a panic rather than deadlocking.
-        let h = thread::spawn(move || {
-            vc2.advance(1, 100);
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                vc2.gate(1);
-            }));
-            r.is_err()
-        });
-        // Give the peer a moment to block, then poison.
-        thread::sleep(std::time::Duration::from_millis(20));
-        vc.poison();
-        assert!(h.join().unwrap(), "gate should panic on poison");
-    }
-
-    #[test]
-    fn poison_invalidates_open_windows() {
-        // A PE holding an unbounded window must still notice the poison
-        // at its next gated op.
-        let vc = VClock::new(1);
-        vc.gated(0, 1, || ()); // grants an unbounded window
-        vc.poison();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            vc.gated(0, 1, || ());
-        }));
-        assert!(r.is_err(), "fast path must honour the poison flag");
-    }
-
-    #[test]
-    fn zero_advance_is_noop() {
-        let vc = VClock::new(1);
-        vc.advance(0, 0);
-        assert_eq!(vc.now(0), 0);
-    }
-}
-
-#[cfg(test)]
-mod randomized {
-    use super::*;
     use crate::rng::SplitMix64;
-    use std::sync::Arc;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    fn schedule_run(
-        gate: GateMode,
-        schedules: &[Vec<u64>],
-    ) -> (Vec<(u64, usize)>, Vec<u64>) {
-        let n = schedules.len();
-        let vc = Arc::new(VClock::with_gate(n, gate));
-        let log = Arc::new(Mutex::new(Vec::new()));
-        std::thread::scope(|scope| {
-            for (pe, costs) in schedules.iter().enumerate() {
-                let vc = Arc::clone(&vc);
-                let log = Arc::clone(&log);
-                scope.spawn(move || {
-                    for &c in costs {
-                        let t = vc.now(pe);
-                        vc.gated(pe, c, || log.lock().push((t, pe)));
+    /// Run `body(vc, pe)` on every PE of an `n`-PE executor; a panicking
+    /// body poisons the world. Returns each PE's outcome and final clock.
+    fn run_pes<T>(
+        n: usize,
+        body: impl Fn(&VClock, usize) -> T,
+    ) -> (Vec<std::thread::Result<T>>, Vec<u64>) {
+        let vc = VClock::new(n);
+        let slots: Vec<RefCell<Option<std::thread::Result<T>>>> =
+            (0..n).map(|_| RefCell::new(None)).collect();
+        let mut bodies: Vec<Body<'_>> = (0..n)
+            .map(|pe| {
+                let (vc, slot, body) = (&vc, &slots[pe], &body);
+                Box::new(move || {
+                    let out = catch_unwind(AssertUnwindSafe(|| body(vc, pe)));
+                    if out.is_err() {
+                        vc.poison();
                     }
-                    vc.finish(pe);
-                });
-            }
-        });
+                    *slot.borrow_mut() = Some(out);
+                    vc.exit(pe)
+                }) as Body<'_>
+            })
+            .collect();
+        vc.run(&mut bodies).unwrap();
+        drop(bodies);
         let clocks = (0..n).map(|pe| vc.now(pe)).collect();
-        let v = log.lock().clone();
-        (v, clocks)
+        let outs = slots.into_iter().map(|s| s.into_inner().unwrap()).collect();
+        (outs, clocks)
+    }
+
+    #[test]
+    fn single_pe_never_switches() {
+        let (outs, clocks) = run_pes(1, |vc, pe| {
+            vc.gate(pe);
+            vc.advance(pe, 10);
+            assert_eq!(vc.now(pe), 10);
+            let r = vc.gated(pe, 5, || 42);
+            vc.advance(pe, 0);
+            (r, vc.engine_stats(pe))
+        });
+        let (r, es) = outs.into_iter().next().unwrap().unwrap();
+        assert_eq!(r, 42);
+        assert_eq!(clocks, vec![15]);
+        assert_eq!((es.fast_ops, es.slow_ops, es.switches), (2, 0, 0));
     }
 
     /// For randomized per-PE cost schedules, gated effects must apply in
     /// nondecreasing (time, pe) order and the final clocks must equal the
-    /// sum of each PE's costs — under both gates, with identical logs.
-    /// Seeded replacement for the former proptest.
+    /// sum of each PE's costs; a rerun must produce the same log.
     #[test]
     fn gated_effects_are_ordered_for_any_schedule() {
         for case in 0..16u64 {
             let mut rng = SplitMix64::stream(0xC10C_0CA5, case);
-            let n = rng.range(2, 5) as usize;
+            let n = rng.range(2, 9) as usize;
             let schedules: Vec<Vec<u64>> = (0..n)
                 .map(|_| {
                     let len = rng.range(1, 30) as usize;
                     (0..len).map(|_| rng.range(1, 500)).collect()
                 })
                 .collect();
-
-            let (log, clocks) = schedule_run(GateMode::SafeWindow, &schedules);
+            let run = || {
+                let log = RefCell::new(Vec::new());
+                let (_, clocks) = run_pes(n, |vc, pe| {
+                    for &c in &schedules[pe] {
+                        let t = vc.now(pe);
+                        vc.gated(pe, c, || log.borrow_mut().push((t, pe)));
+                    }
+                });
+                (log.into_inner(), clocks)
+            };
+            let (log, clocks) = run();
             assert_eq!(
                 log.len(),
-                schedules.iter().map(|s| s.len()).sum::<usize>(),
+                schedules.iter().map(Vec::len).sum::<usize>(),
                 "case {case}"
             );
             for w in log.windows(2) {
-                assert!(w[0] <= w[1], "case {case}: order violated: {:?} -> {:?}", w[0], w[1]);
+                assert!(
+                    w[0] <= w[1],
+                    "case {case}: order violated: {:?} -> {:?}",
+                    w[0],
+                    w[1]
+                );
             }
             for (pe, costs) in schedules.iter().enumerate() {
                 assert_eq!(clocks[pe], costs.iter().sum::<u64>(), "case {case} pe {pe}");
             }
-
-            // Differential: the handoff gate realizes the same schedule.
-            let (log2, clocks2) = schedule_run(GateMode::HandoffPerOp, &schedules);
-            assert_eq!(log, log2, "case {case}: gates disagree on the log");
-            assert_eq!(clocks, clocks2, "case {case}: gates disagree on clocks");
+            assert_eq!(run(), (log, clocks), "case {case}: rerun diverged");
         }
+    }
+
+    #[test]
+    fn barrier_synchronizes_clocks() {
+        let (outs, _) = run_pes(4, |vc, pe| {
+            vc.advance(pe, (pe as u64 + 1) * 100);
+            vc.barrier(pe, 50);
+            let t = vc.now(pe);
+            // A second barrier right after the first reuses the state.
+            vc.advance(pe, pe as u64);
+            vc.barrier(pe, 1);
+            (t, vc.now(pe))
+        });
+        let times: Vec<(u64, u64)> = outs.into_iter().map(Result::unwrap).collect();
+        // max entry clock = 400, +50 barrier cost; then 453 + 1.
+        assert!(times.iter().all(|&t| t == (450, 454)), "{times:?}");
+    }
+
+    #[test]
+    fn finished_pes_do_not_block_gate_or_barrier() {
+        // PE 0 exits at clock 1; PE 1 at clock 0 must pass the gate, and
+        // PEs 1 and 2 must complete a barrier without PE 0.
+        let (outs, clocks) = run_pes(3, |vc, pe| {
+            if pe == 0 {
+                vc.advance(pe, 1);
+                return 0;
+            }
+            vc.gated(pe, 10, || ());
+            vc.barrier(pe, 5);
+            vc.now(pe)
+        });
+        assert!(outs.iter().all(Result::is_ok));
+        assert_eq!(clocks, vec![1, 15, 15]);
+    }
+
+    #[test]
+    fn exit_releases_a_barrier_waiting_on_it() {
+        // PEs 0 and 1 wait in a barrier that PE 2 never enters: its exit
+        // releases them at the max entry clock, with no cost.
+        let (_, clocks) = run_pes(3, |vc, pe| {
+            vc.advance(pe, 100 * (pe as u64 + 1));
+            if pe < 2 {
+                vc.barrier(pe, 7);
+            }
+        });
+        assert_eq!(clocks, vec![200, 200, 300]);
+    }
+
+    #[test]
+    fn poison_wakes_suspended_peers() {
+        // PE 1 is suspended at a gate behind PE 0's lower clock, and PE 2
+        // waits in a barrier, when PE 0 panics: both must fail with the
+        // poison message instead of hanging.
+        let (outs, _) = run_pes(3, |vc, pe| match pe {
+            0 => {
+                vc.gated(pe, 1, || ());
+                panic!("deliberate test panic");
+            }
+            1 => {
+                vc.advance(pe, 100);
+                vc.gate(pe);
+            }
+            _ => vc.barrier(pe, 1),
+        });
+        let msg = |r: &std::thread::Result<()>| match r {
+            Err(p) => p
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| p.downcast_ref::<String>().cloned())
+                .unwrap(),
+            Ok(()) => String::from("ok"),
+        };
+        assert!(msg(&outs[0]).contains("deliberate"));
+        assert!(msg(&outs[1]).contains("poisoned"), "{}", msg(&outs[1]));
+        assert!(msg(&outs[2]).contains("poisoned"), "{}", msg(&outs[2]));
+    }
+
+    #[test]
+    fn gate_during_unwinding_does_not_switch() {
+        // PE 0 panics while PE 1 (clock 0 < 5) would win the gate; the
+        // gate entered from a destructor during unwinding must neither
+        // switch nor panic again, and must poison the world.
+        struct RemoteOpOnDrop<'a>(&'a VClock, &'a Cell<bool>);
+        impl Drop for RemoteOpOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.gated(0, 1, || self.1.set(true));
+            }
+        }
+        let applied = Cell::new(false);
+        let (outs, _) = run_pes(2, |vc, pe| {
+            if pe == 0 {
+                vc.advance(pe, 5);
+                let _guard = RemoteOpOnDrop(vc, &applied);
+                panic!("deliberate test panic");
+            }
+            vc.advance(pe, 10);
+            vc.gate(pe);
+        });
+        assert!(applied.get(), "the destructor's op ran without switching");
+        assert!(outs[0].is_err());
+        assert!(outs[1].is_err(), "PE 1 saw the poison");
     }
 }
