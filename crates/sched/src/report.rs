@@ -84,6 +84,12 @@ pub struct WorkerStats {
     pub crashed: bool,
     /// Victims this PE quarantined (down or persistently failing).
     pub pes_quarantined: u64,
+    /// Tasks pushed onto the owner's overflow stack because the ring was
+    /// full (or already had tasks spilled above it).
+    pub overflow_spilled: u64,
+    /// Spilled tasks moved back into the ring once it had room, where
+    /// they became releasable and stealable.
+    pub overflow_refilled: u64,
     /// Event trace (empty unless `SchedConfig::trace` was set).
     pub events: Vec<Event>,
     /// Virtual-time engine counters for this PE (all zeros in threaded
@@ -263,6 +269,23 @@ impl RunReport {
         }
         Some(format!(
             "     faults: {retries} retries, {failed} failed, {aborted} aborted, {poisoned} poisoned, {reclaimed} reclaimed, {quarantined} quarantined, {crashed} crashed PEs",
+        ))
+    }
+
+    /// One-line ring-overflow summary, or `None` when no task spilled.
+    pub fn overflow_summary_line(&self) -> Option<String> {
+        let spilled: u64 = self.workers.iter().map(|w| w.overflow_spilled).sum();
+        if spilled == 0 {
+            return None;
+        }
+        let refilled: u64 = self.workers.iter().map(|w| w.overflow_refilled).sum();
+        let pes = self
+            .workers
+            .iter()
+            .filter(|w| w.overflow_spilled > 0)
+            .count();
+        Some(format!(
+            "   overflow: {spilled} tasks spilled past the ring on {pes} PEs, {refilled} moved back into it",
         ))
     }
 
@@ -580,6 +603,20 @@ mod tests {
     fn fault_summary_absent_for_clean_runs() {
         let r = report_with(vec![WorkerStats::default(); 3], 1_000);
         assert_eq!(r.fault_summary_line(), None);
+    }
+
+    #[test]
+    fn overflow_summary_only_when_a_task_spilled() {
+        let mut r = report_with(vec![WorkerStats::default(); 3], 1_000);
+        assert_eq!(r.overflow_summary_line(), None);
+        r.workers[0].overflow_spilled = 304;
+        r.workers[0].overflow_refilled = 300;
+        let line = r.overflow_summary_line().expect("a task spilled");
+        assert!(
+            line.contains("304 tasks spilled past the ring on 1 PEs"),
+            "{line}"
+        );
+        assert!(line.contains("300 moved back"), "{line}");
     }
 
     #[test]

@@ -542,16 +542,8 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
         // Execute everything this PE still owns; children spawned during
         // the drain land in the parked queue (never released) and are
         // drained too, so no work leaves with us.
-        loop {
-            if let Some(t) = self.w.overflow.pop() {
-                self.w.execute(&t);
-                continue;
-            }
-            if let Some(t) = self.w.queue.pop_local() {
-                self.w.execute(&t);
-                continue;
-            }
-            break;
+        while let Some(t) = self.w.pop_owned() {
+            self.w.execute(&t);
         }
         self.w.queue.flush_completions();
         self.w.td.flush(ctx);
@@ -614,11 +606,7 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
             }
             self.pump_arrivals();
             self.maybe_report_ingress_done();
-            if let Some(t) = self.w.overflow.pop() {
-                self.w.execute(&t);
-                continue;
-            }
-            if let Some(t) = self.w.queue.pop_local() {
+            if let Some(t) = self.w.next_owned_task() {
                 self.w.execute(&t);
                 self.w.upkeep();
                 continue;

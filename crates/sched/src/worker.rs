@@ -2,9 +2,15 @@
 //!
 //! Each PE runs [`Worker::run`] to global termination:
 //!
-//! 1. execute the newest local task (LIFO — depth-first, which bounds
-//!    queue space at O(T_depth));
-//! 2. when the shared portion has drained and enough local work exists,
+//! 1. execute the newest owned task (LIFO — depth-first, which bounds
+//!    queue space at O(T_depth)). Tasks that find the ring full spill
+//!    into an owner-private overflow stack that sits *on top of* the
+//!    ring: before each pop, the oldest spilled tasks move into the ring
+//!    while it has room, so ring plus overflow stay one LIFO stack and
+//!    every spilled task eventually becomes releasable
+//!    ([`Worker::next_owned_task`]);
+//! 2. after every executed task — ring or overflow alike — when the
+//!    shared portion has drained and enough local work exists,
 //!    **release** half of it (after flushing the termination detector's
 //!    spawn counts, so visible work is always globally accounted);
 //! 3. when the local portion drains, **acquire** from the shared portion;
@@ -33,6 +39,8 @@
 //! * an idle PE whose entire victim pool is quarantined stops searching
 //!   and polls only the termination detector.
 
+use std::collections::VecDeque;
+
 use sws_core::{StealOutcome, StealQueue};
 use sws_shmem::rng::SplitMix64;
 use sws_shmem::ShmemCtx;
@@ -58,9 +66,11 @@ pub struct Worker<'r, 'a, Q: StealQueue> {
     pub(crate) damping: DampingState,
     pub(crate) cfg: SchedConfig,
     pub(crate) stats: WorkerStats,
-    /// Tasks that could not be enqueued because the ring was full; they
-    /// run before anything else (inline-execution fallback).
-    pub(crate) overflow: Vec<TaskDescriptor>,
+    /// Tasks that could not be enqueued because the ring was full: the
+    /// top of this PE's stack, oldest at the front. They run before the
+    /// ring's tasks and move back into the ring, oldest first, as it
+    /// frees room (see [`Worker::next_owned_task`]).
+    overflow: VecDeque<TaskDescriptor>,
     tctx: TaskCtx<'a>,
     spawn_buf: Vec<TaskDescriptor>,
     tasks_since_release_check: u64,
@@ -112,7 +122,7 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
                 .with_quarantine_after(cfg.ft.quarantine_after),
             cfg,
             stats: WorkerStats::default(),
-            overflow: Vec::new(),
+            overflow: VecDeque::new(),
             tctx: TaskCtx::new(ctx),
             spawn_buf: Vec::new(),
             tasks_since_release_check: 0,
@@ -141,10 +151,43 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
         }
     }
 
+    /// Push a new task onto this PE's stack: into the ring, or onto the
+    /// overflow when the ring is full. While the overflow holds tasks it
+    /// is the top of the stack, so new tasks go straight there.
     pub(crate) fn enqueue_or_overflow(&mut self, t: TaskDescriptor) {
-        if !self.queue.enqueue(&t) {
-            self.overflow.push(t);
+        if !self.overflow.is_empty() || !self.queue.enqueue(&t) {
+            self.overflow.push_back(t);
+            self.stats.overflow_spilled += 1;
         }
+    }
+
+    /// The owner's next task, newest first: the top of the overflow,
+    /// else the top of the ring's local portion. First moves spilled
+    /// tasks into the ring while it has room, oldest first — they sit
+    /// directly above the ring's top, so the stack order is unchanged
+    /// and the moved tasks become releasable. The room check reads only
+    /// owner-local state, so a run that never spills issues exactly the
+    /// ops it would without the overflow.
+    pub(crate) fn next_owned_task(&mut self) -> Option<TaskDescriptor> {
+        let capacity = self.cfg.queue.capacity as u64;
+        while !self.overflow.is_empty() && self.queue.occupancy() < capacity {
+            let Some(t) = self.overflow.pop_front() else {
+                break;
+            };
+            if !self.queue.enqueue(&t) {
+                self.overflow.push_front(t);
+                break;
+            }
+            self.stats.overflow_refilled += 1;
+        }
+        self.pop_owned()
+    }
+
+    /// Pop the top of this PE's stack without refilling the ring: the
+    /// crash-stop and away drains use it, since their queues are retired
+    /// or parked and release nothing.
+    pub(crate) fn pop_owned(&mut self) -> Option<TaskDescriptor> {
+        self.overflow.pop_back().or_else(|| self.queue.pop_local())
     }
 
     /// Execute one task: run the handler, charge its compute time, then
@@ -295,13 +338,8 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
         self.stats.crashed = true;
         self.queue.retire();
         loop {
-            if let Some(t) = self.overflow.pop() {
+            while let Some(t) = self.pop_owned() {
                 self.execute(&t);
-                continue;
-            }
-            if let Some(t) = self.queue.pop_local() {
-                self.execute(&t);
-                continue;
             }
             if self.queue.local_count() == 0 && !self.queue.acquire() {
                 break;
@@ -329,12 +367,7 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
                 self.crash_stop(false);
                 return (self.stats, self.queue);
             }
-            // Drain overflow first (tasks that bypassed the full ring).
-            if let Some(t) = self.overflow.pop() {
-                self.execute(&t);
-                continue;
-            }
-            if let Some(t) = self.queue.pop_local() {
+            if let Some(t) = self.next_owned_task() {
                 self.execute(&t);
                 self.upkeep();
                 continue;

@@ -208,8 +208,9 @@ fn identity_override_table_is_invisible() {
 
 /// Deterministic output of the virtual-time engine, pinned across
 /// engine rewrites: every case below was rendered once (by the
-/// thread-per-PE engine this executor replaced) and committed under
-/// `tests/golden/`, and each run must reproduce its file byte for byte. Regenerate (only when a PR deliberately changes semantics)
+/// thread-per-PE engine this executor replaced; the overflow runs by the
+/// one-stack overflow policy) and committed under `tests/golden/`, and
+/// each run must reproduce its file byte for byte. Regenerate (only when a PR deliberately changes semantics)
 /// with `SWS_BLESS=1 cargo test -p sws-sched --test differential golden`.
 mod golden {
     use super::*;
@@ -217,6 +218,7 @@ mod golden {
     use sws_sched::{run_service, AdmissionPolicy, MembershipPlan, ServiceConfig};
     use sws_shmem::{FaultPlan, OpClass, TargetSel};
     use sws_workloads::arrivals::{ArrivalPlan, FlatServe, UtsServe};
+    use sws_workloads::synth::FlatBag;
 
     /// FNV-1a over a rendered list, for streams too long to commit.
     fn fnv(s: &str) -> u64 {
@@ -254,6 +256,13 @@ mod golden {
             );
             let _ = writeln!(s, "pe{pe} queue {:?}", w.queue);
             let _ = writeln!(s, "pe{pe} comm {:?}", r.comm.per_pe[pe]);
+            if w.overflow_spilled > 0 {
+                let _ = writeln!(
+                    s,
+                    "pe{pe} overflow spilled={} refilled={}",
+                    w.overflow_spilled, w.overflow_refilled
+                );
+            }
             if !w.service.is_empty() {
                 let v = &w.service;
                 let _ = writeln!(
@@ -408,5 +417,18 @@ mod golden {
             out += &render(&format!("uts-serve {kind:?}"), &r);
         }
         check("service.txt", &out);
+    }
+
+    /// The ring-overflow policy (DESIGN §5c): 4,400 flat tasks seeded
+    /// into a 4,096-slot ring on 16 PEs.
+    #[test]
+    fn golden_overflow_runs() {
+        let mut out = String::new();
+        for kind in [QueueKind::Sws, QueueKind::Sdc] {
+            let cfg = RunConfig::new(16, SchedConfig::new(kind, QueueConfig::new(4096, 24)));
+            let r = run_workload(&cfg, &FlatBag::new(4_400, 50_000, 24));
+            out += &render(&format!("flat4400 cap4096 {kind:?}"), &r);
+        }
+        check("overflow.txt", &out);
     }
 }

@@ -687,6 +687,9 @@ fn main() {
             if let Some(faults) = report.fault_summary_line() {
                 println!("{faults}");
             }
+            if let Some(overflow) = report.overflow_summary_line() {
+                println!("{overflow}");
+            }
             if let Some(service) = report.service_summary_line() {
                 println!("{service}");
             }
