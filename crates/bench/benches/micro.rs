@@ -1,9 +1,10 @@
 //! Microbenchmarks for the hot pure-logic components: the stealval
 //! codec (executed on every steal), the steal-half arithmetic, task
 //! record encode/decode (every enqueue/steal), and SHA-1 (every UTS
-//! node). These are real wall-clock measurements, unlike the
-//! virtual-time experiment harnesses; they use a self-contained
-//! timing loop so the workspace carries no external bench framework.
+//! node, on the host's selected compression and on the software one).
+//! These are real wall-clock measurements, unlike the virtual-time
+//! experiment harnesses; they use a self-contained timing loop so the
+//! workspace carries no external bench framework.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -11,7 +12,7 @@ use std::time::Instant;
 use sws_core::steal_half::{claimed_before, max_steals, volume};
 use sws_core::stealval::{Gate, Layout, StealVal};
 use sws_task::TaskDescriptor;
-use sws_workloads::sha1::{sha1, spawn_child};
+use sws_workloads::sha1::{sha1, sha_ni_available, spawn_child, spawn_child_soft};
 
 /// Time `f` over enough iterations to fill ~50 ms, reporting ns/iter.
 /// One warm-up pass sizes the batch so cheap ops aren't dominated by
@@ -87,9 +88,16 @@ fn bench_task_codec() {
 }
 
 fn bench_sha1() {
+    // The unsuffixed lines run the compression this host selected; the
+    // `.soft` line always runs the portable rounds.
+    let selected = if sha_ni_available() { "sha-ni" } else { "soft" };
+    println!("sha1 compression selected: {selected}");
     let state = [7u8; 20];
     bench("sha1/uts_spawn_child", || {
         black_box(spawn_child(black_box(&state), black_box(3)));
+    });
+    bench("sha1/uts_spawn_child.soft", || {
+        black_box(spawn_child_soft(black_box(&state), black_box(3)));
     });
     let big = vec![0x5Au8; 4096];
     bench("sha1/4KiB", || {

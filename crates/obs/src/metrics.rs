@@ -306,7 +306,12 @@ impl Registry {
         let task_ns = reg.counter("sws_task_ns", "virtual ns spent executing tasks");
         let steal_ns = reg.counter("sws_steal_ns", "virtual ns spent inside steal ops");
         let search_ns = reg.counter("sws_search_ns", "virtual ns spent searching for victims");
-        let upkeep_ns = reg.counter("sws_upkeep_ns", "virtual ns spent on queue upkeep");
+        let upkeep_ns = reg.counter(
+            "sws_upkeep_ns",
+            "ns spent on queue upkeep: virtual ns of every release check, \
+             acquire and progress; threaded runs count wall ns of releases, \
+             acquires and progress only",
+        );
         let runtime_ns = reg.gauge("sws_runtime_ns", "per-PE virtual runtime");
         let first_work_ns = reg.gauge("sws_first_work_ns", "virtual time of first task");
         let crashed = reg.gauge("sws_crashed", "1 if the PE crash-stopped");

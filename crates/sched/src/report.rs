@@ -71,7 +71,13 @@ pub struct WorkerStats {
     /// Time spent searching (failed attempts, probes, termination
     /// polling while idle), ns.
     pub search_ns: u64,
-    /// Time spent in release/acquire/progress queue upkeep, ns.
+    /// Time spent in queue upkeep, ns. In virtual time (and under the
+    /// explorer) it is the logical ns of every release check — the
+    /// shared-portion read included, whether or not it releases — plus
+    /// acquires and progress. In threaded mode it is wall ns of the
+    /// releases that happen (termination flush included), acquires and
+    /// progress; the per-task release check itself is not timed, since
+    /// stamping it would cost two wall-clock reads per task.
     pub upkeep_ns: u64,
     /// Virtual time at which this PE first obtained work (dissemination
     /// latency; 0 for PEs seeded directly).

@@ -549,7 +549,7 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
         self.w.td.flush(ctx);
         if !already_idle {
             self.w.td.enter_idle(ctx);
-            self.w.log.record(ctx.now_ns(), EventKind::EnterIdle);
+            self.w.log.record(|| ctx.now_ns(), EventKind::EnterIdle);
         }
         while ctx.now_ns() < rejoin_at {
             if faulty && ctx.crash_due() {
@@ -568,7 +568,7 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
         self.w.queue.unpark();
         self.w.stats.service.rejoins += 1;
         self.w.td.exit_idle(ctx);
-        self.w.log.record(ctx.now_ns(), EventKind::ExitIdle);
+        self.w.log.record(|| ctx.now_ns(), EventKind::ExitIdle);
         AwayEnd::Rejoined
     }
 
@@ -616,18 +616,18 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
                 let got = self.w.queue.acquire();
                 self.w.stats.upkeep_ns += ctx.now_ns() - t0;
                 if got {
-                    self.w.log.record(ctx.now_ns(), EventKind::AcquireHit {
+                    self.w.log.record(|| ctx.now_ns(), EventKind::AcquireHit {
                         recovered: self.w.queue.local_count() as u32,
                     });
                     continue;
                 }
-                self.w.log.record(ctx.now_ns(), EventKind::AcquireMiss);
+                self.w.log.record(|| ctx.now_ns(), EventKind::AcquireMiss);
             }
             // Queue drained: idle. Unlike the batch loop this is not the
             // beginning of the end — an ingress wake or a successful
             // steal resumes the outer loop.
             self.w.td.enter_idle(ctx);
-            self.w.log.record(ctx.now_ns(), EventKind::EnterIdle);
+            self.w.log.record(|| ctx.now_ns(), EventKind::EnterIdle);
             self.quiesced = false;
             let mut search_iters = 0u32;
             loop {
@@ -648,7 +648,7 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
                         self.w.td.on_reactivate(ctx);
                     }
                     self.w.td.exit_idle(ctx);
-                    self.w.log.record(ctx.now_ns(), EventKind::ExitIdle);
+                    self.w.log.record(|| ctx.now_ns(), EventKind::ExitIdle);
                     continue 'outer;
                 }
                 if search_iters.is_multiple_of(4) {
@@ -693,7 +693,7 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
                             self.w.had_work = true;
                             self.w.stats.first_work_ns = ctx.now_ns();
                         }
-                        self.w.log.record(ctx.now_ns(), EventKind::StealWon {
+                        self.w.log.record(|| ctx.now_ns(), EventKind::StealWon {
                             victim: target as u32,
                             tasks: tasks as u32,
                         });
@@ -701,7 +701,7 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
                             self.w.td.on_reactivate(ctx);
                         }
                         self.w.td.exit_idle(ctx);
-                        self.w.log.record(ctx.now_ns(), EventKind::ExitIdle);
+                        self.w.log.record(|| ctx.now_ns(), EventKind::ExitIdle);
                         continue 'outer;
                     }
                     out @ (StealOutcome::Empty | StealOutcome::Closed) => {
@@ -715,7 +715,7 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
                                 victim: target as u32,
                             }
                         };
-                        self.w.log.record(ctx.now_ns(), kind);
+                        self.w.log.record(|| ctx.now_ns(), kind);
                     }
                     out @ (StealOutcome::Failed { .. }
                     | StealOutcome::Aborted { .. }) => {
@@ -735,7 +735,7 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
                             ),
                             _ => unreachable!(),
                         };
-                        self.w.log.record(ctx.now_ns(), kind);
+                        self.w.log.record(|| ctx.now_ns(), kind);
                         // A parked elastic queue is indistinguishable
                         // from a faulty one to a thief; only down PEs
                         // (and non-elastic streaks) quarantine.

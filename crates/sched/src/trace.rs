@@ -91,11 +91,13 @@ impl EventLog {
         }
     }
 
-    /// Record `kind` at time `t_ns`.
+    /// Record `kind` at the time `now` returns. The clock is read only
+    /// when recording is on: in threaded mode each read is a wall-clock
+    /// call, and these sit on every steal attempt and idle transition.
     #[inline]
-    pub fn record(&mut self, t_ns: u64, kind: EventKind) {
+    pub fn record(&mut self, now: impl FnOnce() -> u64, kind: EventKind) {
         if self.enabled {
-            self.events.push(Event { t_ns, kind });
+            self.events.push(Event { t_ns: now(), kind });
         }
     }
 
@@ -204,7 +206,7 @@ mod tests {
     #[test]
     fn disabled_log_records_nothing() {
         let mut log = EventLog::new(false);
-        log.record(1, EventKind::EnterIdle);
+        log.record(|| unreachable!("a disabled log reads no clock"), EventKind::EnterIdle);
         assert!(!log.is_enabled());
         assert!(log.into_events().is_empty());
     }

@@ -75,6 +75,10 @@ pub struct Worker<'r, 'a, Q: StealQueue> {
     spawn_buf: Vec<TaskDescriptor>,
     tasks_since_release_check: u64,
     tasks_since_progress: u64,
+    /// Whether [`Worker::upkeep`] times every release check, not just
+    /// the releases: true when `now_ns` is a logical clock (virtual time
+    /// or the explorer), where a stamp is free.
+    stamp_checks: bool,
     /// Steal attempts until the sampler next opens the capture window;
     /// `None` when sampling is off (window stays open — full capture).
     sample_countdown: Option<u32>,
@@ -127,6 +131,7 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
             spawn_buf: Vec::new(),
             tasks_since_release_check: 0,
             tasks_since_progress: 0,
+            stamp_checks: !ctx.clock_is_wall(),
             sample_countdown,
             had_work: false,
             log: EventLog::new(cfg.trace),
@@ -231,8 +236,13 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
         if self.tasks_since_release_check >= self.cfg.release_interval {
             self.tasks_since_release_check = 0;
             if self.queue.local_count() >= self.cfg.release_min_local {
-                let t0 = self.ctx.now_ns();
+                // A logical clock is a plain read, so the whole check is
+                // timed, its shared-portion read included. In threaded
+                // mode a stamp is a wall-clock call (tens of ns) on the
+                // per-task path, so only a release that happens is timed.
+                let check_t0 = self.stamp_checks.then(|| self.ctx.now_ns());
                 if self.queue.shared_estimate() == 0 {
+                    let t0 = check_t0.unwrap_or_else(|| self.ctx.now_ns());
                     // Make the tasks globally accounted before they become
                     // stealable (counter-TD safety invariant).
                     self.td.flush(self.ctx);
@@ -242,12 +252,14 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
                         // local section, so the count may have *grown*.
                         let exposed = before.saturating_sub(self.queue.local_count());
                         self.log
-                            .record(self.ctx.now_ns(), EventKind::Release {
+                            .record(|| self.ctx.now_ns(), EventKind::Release {
                                 exposed: exposed as u32,
                             });
                     }
+                    self.stats.upkeep_ns += self.ctx.now_ns() - t0;
+                } else if let Some(t0) = check_t0 {
+                    self.stats.upkeep_ns += self.ctx.now_ns() - t0;
                 }
-                self.stats.upkeep_ns += self.ctx.now_ns() - t0;
             }
         }
     }
@@ -318,7 +330,7 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
                 v.exclude(target);
             }
             self.stats.pes_quarantined += 1;
-            self.log.record(self.ctx.now_ns(), EventKind::Quarantined {
+            self.log.record(|| self.ctx.now_ns(), EventKind::Quarantined {
                 victim: target as u32,
             });
         }
@@ -334,7 +346,7 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
     /// The closing barrier is skipped; `run_world` releases barriers for
     /// PEs marked down.
     pub(crate) fn crash_stop(&mut self, already_idle: bool) {
-        self.log.record(self.ctx.now_ns(), EventKind::CrashStop);
+        self.log.record(|| self.ctx.now_ns(), EventKind::CrashStop);
         self.stats.crashed = true;
         self.queue.retire();
         loop {
@@ -378,18 +390,18 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
                 let got = self.queue.acquire();
                 self.stats.upkeep_ns += self.ctx.now_ns() - t0;
                 if got {
-                    self.log.record(self.ctx.now_ns(), EventKind::AcquireHit {
+                    self.log.record(|| self.ctx.now_ns(), EventKind::AcquireHit {
                         recovered: self.queue.local_count() as u32,
                     });
                     continue;
                 }
-                self.log.record(self.ctx.now_ns(), EventKind::AcquireMiss);
+                self.log.record(|| self.ctx.now_ns(), EventKind::AcquireMiss);
             }
             // Whole queue empty: search. Termination is polled every few
             // attempts rather than every attempt — polling is a remote
             // read of PE 0 and would otherwise dominate search cost.
             self.td.enter_idle(self.ctx);
-            self.log.record(self.ctx.now_ns(), EventKind::EnterIdle);
+            self.log.record(|| self.ctx.now_ns(), EventKind::EnterIdle);
             // A work-starved thief must not sit on staged completion puts:
             // its victims may be blocked waiting for exactly those ring
             // slots to reconcile (and termination can never fire while
@@ -433,12 +445,12 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
                             self.had_work = true;
                             self.stats.first_work_ns = self.ctx.now_ns();
                         }
-                        self.log.record(self.ctx.now_ns(), EventKind::StealWon {
+                        self.log.record(|| self.ctx.now_ns(), EventKind::StealWon {
                             victim: target as u32,
                             tasks: tasks as u32,
                         });
                         self.td.exit_idle(self.ctx);
-                        self.log.record(self.ctx.now_ns(), EventKind::ExitIdle);
+                        self.log.record(|| self.ctx.now_ns(), EventKind::ExitIdle);
                         continue 'outer;
                     }
                     out @ (StealOutcome::Empty | StealOutcome::Closed) => {
@@ -452,7 +464,7 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
                                 victim: target as u32,
                             }
                         };
-                        self.log.record(self.ctx.now_ns(), kind);
+                        self.log.record(|| self.ctx.now_ns(), kind);
                     }
                     out @ (StealOutcome::Failed { .. }
                     | StealOutcome::Aborted { .. }) => {
@@ -472,7 +484,7 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
                             ),
                             _ => unreachable!(),
                         };
-                        self.log.record(self.ctx.now_ns(), kind);
+                        self.log.record(|| self.ctx.now_ns(), kind);
                         self.note_steal_failure(target, down);
                     }
                 }

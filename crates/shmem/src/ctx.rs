@@ -114,6 +114,14 @@ impl ShmemCtx {
         self.world.vclock.is_some()
     }
 
+    /// Whether [`ShmemCtx::now_ns`] reads the wall clock: plain threaded
+    /// mode, where each read is a real clock call. Under the engine or
+    /// the explorer it reads a logical clock, which costs nothing.
+    #[inline]
+    pub fn clock_is_wall(&self) -> bool {
+        self.world.vclock.is_none() && self.world.explore.is_none()
+    }
+
     /// Current time in ns: virtual time under the engine, the gate's
     /// per-PE logical clock under exploration, wall time otherwise.
     pub fn now_ns(&self) -> u64 {
